@@ -10,7 +10,8 @@ build:
 test:
 	cargo test --workspace
 
-# The CI gate: offline, lockfile-pinned build + tests + lint-clean, plus
+# The CI gate: offline, lockfile-pinned build + tests + lint-clean, the
+# repository benchmark package (perfbench/) built and tested, plus
 # a smoke run of the matching-reuse engine bench (asserts bit-identity of
 # the flat path and refreshes BENCH_sscn.json) and a seeded smoke chaos
 # campaign on the resilient streaming path (replayable summary lands in
@@ -34,6 +35,7 @@ test:
 verify:
 	cargo build --workspace --release --locked --offline
 	cargo test --workspace -q --locked --offline
+	cargo test --release -q --locked --offline --manifest-path perfbench/Cargo.toml
 	ESCA_GEMM_BACKEND=scalar cargo test -q --locked --offline -p esca-sscn --test gemm_backends -p esca --test chaos_streaming -p esca-suite --test parallel_equivalence --test streaming_determinism --test observability --test snapshot_merge_laws
 	ESCA_GEMM_BACKEND=blocked cargo test -q --locked --offline -p esca-sscn --test gemm_backends -p esca --test chaos_streaming -p esca-suite --test parallel_equivalence --test streaming_determinism --test observability --test snapshot_merge_laws
 	ESCA_PLAN_CACHE=1 ESCA_GEMM_BACKEND=scalar cargo test -q --locked --offline -p esca-suite --test streaming_determinism --test geometry_plan

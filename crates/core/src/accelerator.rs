@@ -31,7 +31,7 @@ use std::sync::Arc;
 pub struct LayerOpts {
     /// Load the layer's weights from DRAM (`false` = resident from a
     /// previous frame, the streaming steady state — see
-    /// [`Esca::run_layer_opts`]).
+    /// [`Esca::run_network_stream`]).
     pub load_weights: bool,
     /// Run the layer **matching-resident**: the geometry metadata (the
     /// SDMU's matching work product) is already resident from an earlier
@@ -113,44 +113,21 @@ impl Esca {
         weights: &QuantizedWeights,
         relu: bool,
     ) -> Result<LayerRun> {
-        self.run_layer_opts(input, weights, relu, true)
+        self.run_layer_with(input, weights, relu, LayerOpts::default())
     }
 
-    /// [`Esca::run_layer`] with explicit control over the weight load:
-    /// when `load_weights` is false the layer's weights are assumed
-    /// resident in the weight buffer from a previous frame (the streaming
-    /// case — see [`Esca::run_network_stream`]) and neither DRAM traffic
-    /// nor load stalls are charged for them.
+    /// [`Esca::run_layer`] with full [`LayerOpts`] control: the weight
+    /// load (`load_weights: false` = resident from a previous frame, the
+    /// streaming case of [`Esca::run_network_stream`], charging neither
+    /// DRAM traffic nor load stalls) and **matching-resident** execution:
+    /// on a whole-network geometry-plan hit the SDMU's matching work
+    /// product is already resident, so the mask-scan/fetch stages and the
+    /// zero-removing pre-pass charge zero cycles and zero scan-side
+    /// activity (`scanned_sites`, `mask_bits_read`, `fifo_pushes` stay 0);
+    /// only the computing-array stage, activation reads and DRAM
+    /// streaming remain. Outputs are bit-identical to the normal path.
     ///
-    /// # Errors
-    ///
-    /// As [`Esca::run_layer`].
-    pub fn run_layer_opts(
-        &self,
-        input: &SparseTensor<Q16>,
-        weights: &QuantizedWeights,
-        relu: bool,
-        load_weights: bool,
-    ) -> Result<LayerRun> {
-        self.run_layer_with(
-            input,
-            weights,
-            relu,
-            LayerOpts {
-                load_weights,
-                ..LayerOpts::default()
-            },
-        )
-    }
-
-    /// [`Esca::run_layer`] with full [`LayerOpts`] control, including
-    /// **matching-resident** execution: on a whole-network geometry-plan
-    /// hit the SDMU's matching work product is already resident, so the
-    /// mask-scan/fetch stages and the zero-removing pre-pass charge zero
-    /// cycles and zero scan-side activity (`scanned_sites`,
-    /// `mask_bits_read`, `fifo_pushes` stay 0); only the computing-array
-    /// stage, activation reads and DRAM streaming remain. Outputs are
-    /// bit-identical to the normal path.
+    /// This is [`Esca::run_layer_sharded_with`] with one shard.
     ///
     /// # Errors
     ///
@@ -161,6 +138,35 @@ impl Esca {
         weights: &QuantizedWeights,
         relu: bool,
         opts: LayerOpts,
+    ) -> Result<LayerRun> {
+        self.run_layer_sharded_with(input, weights, relu, opts, 1)
+    }
+
+    /// The layer body: [`Esca::run_layer_with`] with tile-level compute
+    /// split across `shards` host threads.
+    ///
+    /// Pass 1 walks the shared buffer/DMA model on the calling thread in
+    /// tile order, so capacity errors and peak occupancies do not depend
+    /// on `shards`; it also takes the prefix sum of per-tile nnz, which
+    /// gives each tile its first match-group ordinal and makes the tiles
+    /// independent. Pass 2 runs the per-tile cycle loops. With one shard
+    /// it runs inline, straight into the layer's own accumulators; with
+    /// more, contiguous chunks of the active-tile list run on scoped
+    /// threads with fresh computing cores (the core is free between
+    /// tiles, so per-shard cores are bit-exact) and merge back in tile
+    /// order by exact u64 addition. The returned [`LayerRun`] is
+    /// bit-identical for every `shards` value — only wall-clock changes.
+    ///
+    /// # Errors
+    ///
+    /// As [`Esca::run_layer`].
+    pub fn run_layer_sharded_with(
+        &self,
+        input: &SparseTensor<Q16>,
+        weights: &QuantizedWeights,
+        relu: bool,
+        opts: LayerOpts,
+        shards: usize,
     ) -> Result<LayerRun> {
         let load_weights = opts.load_weights;
         let resident = opts.matching_resident || self.cfg.matching_resident;
@@ -179,9 +185,14 @@ impl Esca {
                 ),
             });
         }
-        let mut stats = CycleStats::default();
-        let mut trace = PipelineTrace::new(self.cfg.record_trace);
-        let mut tele = LayerTelemetry::new();
+        let empty_run = || LayerRun {
+            output: SparseTensor::new(input.extent(), weights.out_ch()),
+            stats: CycleStats::default(),
+            trace: PipelineTrace::new(self.cfg.record_trace),
+            telemetry: LayerTelemetry::new(),
+        };
+        let mut run = empty_run();
+        let stats = &mut run.stats;
 
         // --- Zero removing pre-pass (streaming over the coordinate list).
         // Resident geometry was already zero-removed on an earlier frame,
@@ -215,14 +226,16 @@ impl Esca {
         });
         dram.write((input.nnz() * weights.out_ch() * 2) as u64);
 
-        // --- Per-tile pipelined execution.
-        let mut output = SparseTensor::new(input.extent(), weights.out_ch());
-        let mut cc = ComputingCore::new(weights, self.cfg.ic_parallel, self.cfg.oc_parallel, relu);
         let grid = zr.report.grid();
         let r = (self.cfg.kernel / 2) as i32;
+        let active = zr.report.active();
+
+        // --- Pass 1: tile DMA through the buffer model (activations of
+        // tile + halo, masks of the tile, write-back of the tile's
+        // outputs) and each tile's first match-group ordinal.
+        let mut first_groups = Vec::with_capacity(active.len());
         let mut next_group = 0usize;
-        for info in zr.report.active() {
-            // Tile DMA: activations of tile + halo, masks of the tile.
+        for info in active {
             let hi = info.max_corner(grid.shape(), grid.extent());
             let halo_lo = info.origin.offset(-r, -r, -r);
             let halo_hi = hi.offset(r, r, r);
@@ -234,22 +247,11 @@ impl Esca {
             stats.tile_overhead_cycles += self.cfg.per_tile_overhead_cycles;
             stats.peak_act_buffer_bytes =
                 stats.peak_act_buffer_bytes.max(act_buf.peak_bytes() as u64);
-
             let tile_out_bytes = info.nnz * weights.out_ch() * 2;
             out_buf.fill(tile_out_bytes)?;
 
-            next_group = self.run_tile(
-                &enc,
-                info,
-                &grid,
-                &mut cc,
-                &mut output,
-                next_group,
-                resident,
-                &mut stats,
-                &mut tele,
-                &mut trace,
-            )?;
+            first_groups.push(next_group);
+            next_group += info.nnz;
 
             out_buf.record_writes(info.nnz as u64 * weights.out_ch() as u64);
             // Write-back to DRAM retires the tile's outputs.
@@ -258,6 +260,52 @@ impl Esca {
             mask_buf.drain(tile_mask_bytes);
         }
         debug_assert_eq!(next_group, input.nnz());
+
+        // --- Pass 2: the per-tile pipelined cycle loops.
+        let run_tiles = |tiles: &[esca_tensor::TileInfo], groups: &[usize], into: &mut LayerRun| {
+            let mut cc =
+                ComputingCore::new(weights, self.cfg.ic_parallel, self.cfg.oc_parallel, relu);
+            for (info, &first) in tiles.iter().zip(groups) {
+                let next = self.run_tile(&enc, info, &grid, &mut cc, first, resident, into);
+                debug_assert_eq!(next, first + info.nnz);
+            }
+        };
+        let shards = shards.clamp(1, active.len().max(1));
+        if shards == 1 {
+            run_tiles(active, &first_groups, &mut run);
+        } else {
+            let chunk = active.len().div_ceil(shards);
+            let (run_tiles, empty_run) = (&run_tiles, &empty_run);
+            let parts: Vec<LayerRun> = crossbeam::scope(|s| {
+                let handles: Vec<_> = active
+                    .chunks(chunk)
+                    .zip(first_groups.chunks(chunk))
+                    .map(|(tiles, groups)| {
+                        s.spawn(move |_| {
+                            let mut part = empty_run();
+                            run_tiles(tiles, groups, &mut part);
+                            part
+                        })
+                    })
+                    .collect();
+                handles
+                    .into_iter()
+                    .map(|h| h.join().expect("tile shard thread panicked"))
+                    .collect()
+            })
+            .expect("tile shard scope panicked");
+            for part in parts {
+                run.stats += &part.stats;
+                run.telemetry.merge(&part.telemetry);
+                run.trace.extend(&part.trace);
+                for (c, feats) in part.output.iter() {
+                    run.output
+                        .insert(c, feats)
+                        .expect("centre lies in the grid");
+                }
+            }
+        }
+        let stats = &mut run.stats;
 
         // --- DRAM stalls: weight load is exposed unless configured
         // overlapped; streaming traffic hides under compute per the
@@ -280,272 +328,16 @@ impl Esca {
         stats.dram_bytes_out = dram.bytes_out();
 
         for buf in [&weight_buf, &act_buf, &mask_buf, &out_buf] {
-            tele.buffers.push(buf.telemetry());
+            run.telemetry.buffers.push(buf.telemetry());
         }
 
-        output.canonicalize();
-        Ok(LayerRun {
-            output,
-            stats,
-            trace,
-            telemetry: tele,
-        })
-    }
-
-    /// [`Esca::run_layer`] with tile-level compute sharded across
-    /// `workers` host threads.
-    ///
-    /// Active tiles are independent once each tile's first match-group
-    /// ordinal is known (a prefix sum of per-tile nnz), so the per-tile
-    /// cycle loops can run concurrently. The simulated timing model is
-    /// untouched: buffer-model fills/drains run on the calling thread in
-    /// sequential tile order (capacity errors and peak occupancies surface
-    /// identically), per-shard cycle counters merge by exact u64 addition,
-    /// and outputs/traces merge in tile order. The returned [`LayerRun`]
-    /// is bit-identical to [`Esca::run_layer`] — only wall-clock improves.
-    ///
-    /// # Errors
-    ///
-    /// As [`Esca::run_layer`].
-    pub fn run_layer_sharded(
-        &self,
-        input: &SparseTensor<Q16>,
-        weights: &QuantizedWeights,
-        relu: bool,
-        workers: usize,
-    ) -> Result<LayerRun> {
-        self.run_layer_sharded_opts(input, weights, relu, true, workers)
-    }
-
-    /// [`Esca::run_layer_sharded`] with explicit weight-load control, as
-    /// [`Esca::run_layer_opts`].
-    ///
-    /// # Errors
-    ///
-    /// As [`Esca::run_layer`].
-    pub fn run_layer_sharded_opts(
-        &self,
-        input: &SparseTensor<Q16>,
-        weights: &QuantizedWeights,
-        relu: bool,
-        load_weights: bool,
-        workers: usize,
-    ) -> Result<LayerRun> {
-        self.run_layer_sharded_with(
-            input,
-            weights,
-            relu,
-            LayerOpts {
-                load_weights,
-                ..LayerOpts::default()
-            },
-            workers,
-        )
-    }
-
-    /// [`Esca::run_layer_sharded`] with full [`LayerOpts`] control, as
-    /// [`Esca::run_layer_with`]. Matching-resident accounting is applied
-    /// per shard, so the merged stats stay bit-identical to the
-    /// single-threaded path for every `workers` value.
-    ///
-    /// # Errors
-    ///
-    /// As [`Esca::run_layer`].
-    pub fn run_layer_sharded_with(
-        &self,
-        input: &SparseTensor<Q16>,
-        weights: &QuantizedWeights,
-        relu: bool,
-        opts: LayerOpts,
-        workers: usize,
-    ) -> Result<LayerRun> {
-        if workers <= 1 {
-            return self.run_layer_with(input, weights, relu, opts);
-        }
-        let load_weights = opts.load_weights;
-        let resident = opts.matching_resident || self.cfg.matching_resident;
-        if input.channels() != weights.in_ch() {
-            return Err(EscaError::ChannelMismatch {
-                expected: weights.in_ch(),
-                got: input.channels(),
-            });
-        }
-        if weights.k() != self.cfg.kernel {
-            return Err(EscaError::Config {
-                reason: format!(
-                    "layer kernel {} does not match configured kernel {}",
-                    weights.k(),
-                    self.cfg.kernel
-                ),
-            });
-        }
-        let mut stats = CycleStats::default();
-        let mut trace = PipelineTrace::new(self.cfg.record_trace);
-        let mut tele = LayerTelemetry::new();
-
-        let zr = ZeroRemovingUnit::default().run(input, self.cfg.tile);
-        stats.zero_removing_cycles = if resident { 0 } else { zr.cycles };
-        stats.matching_resident = resident;
-        stats.active_tiles = zr.report.active_tiles() as u64;
-        stats.total_tiles = zr.report.total_tiles() as u64;
-
-        let enc = EncodedFeatureMap::encode(input, self.cfg.tile)?;
-        let mut weight_buf = BufferModel::new("weight buffer", self.cfg.weight_buffer_bytes);
-        weight_buf.fill(weights.len() + weights.out_ch() * 4)?;
-        let mut act_buf = BufferModel::new("activation buffer", self.cfg.act_buffer_bytes);
-        let mut mask_buf = BufferModel::new("mask buffer", self.cfg.mask_buffer_bytes);
-        let mut out_buf = BufferModel::new("output buffer", self.cfg.out_buffer_bytes);
-
-        let mut dram = DramModel::new();
-        if load_weights {
-            dram.read((weights.len() + weights.out_ch() * 4) as u64);
-        }
-        dram.read(if resident {
-            enc.act_bytes() as u64
-        } else {
-            enc.total_bytes() as u64
-        });
-        dram.write((input.nnz() * weights.out_ch() * 2) as u64);
-
-        let grid = zr.report.grid();
-        let r = (self.cfg.kernel / 2) as i32;
-        let active = zr.report.active();
-
-        // Pass 1 (sequential, calling thread): the shared buffer/DMA model,
-        // walked in exactly the tile order of `run_layer_opts` so capacity
-        // errors and peak-occupancy stats are identical — plus the prefix
-        // sum of per-tile nnz that gives each tile its first match-group
-        // ordinal, which is what makes the tiles independent.
-        let mut first_groups = Vec::with_capacity(active.len());
-        let mut next_group = 0usize;
-        for info in active {
-            let hi = info.max_corner(grid.shape(), grid.extent());
-            let halo_lo = info.origin.offset(-r, -r, -r);
-            let halo_hi = hi.offset(r, r, r);
-            let halo_nnz = enc.mask().count_in_box(halo_lo, halo_hi);
-            let tile_act_bytes = halo_nnz * enc.channels() * 2;
-            let tile_mask_bytes = (grid.shape().volume() as usize).div_ceil(8);
-            act_buf.fill(tile_act_bytes)?;
-            mask_buf.fill(tile_mask_bytes)?;
-            stats.tile_overhead_cycles += self.cfg.per_tile_overhead_cycles;
-            stats.peak_act_buffer_bytes =
-                stats.peak_act_buffer_bytes.max(act_buf.peak_bytes() as u64);
-            let tile_out_bytes = info.nnz * weights.out_ch() * 2;
-            out_buf.fill(tile_out_bytes)?;
-
-            first_groups.push(next_group);
-            next_group += info.nnz;
-
-            out_buf.record_writes(info.nnz as u64 * weights.out_ch() as u64);
-            out_buf.drain(tile_out_bytes);
-            act_buf.drain(tile_act_bytes);
-            mask_buf.drain(tile_mask_bytes);
-        }
-        debug_assert_eq!(next_group, input.nnz());
-
-        // Pass 2 (sharded): contiguous chunks of the active-tile list, one
-        // per worker. Each shard gets a fresh computing core (the core is
-        // free between tiles, so per-shard cores are bit-exact), output
-        // tensor, stats and trace; shards merge back in tile order.
-        struct Shard {
-            output: SparseTensor<Q16>,
-            stats: CycleStats,
-            telemetry: LayerTelemetry,
-            trace: PipelineTrace,
-        }
-        let mut output = SparseTensor::new(input.extent(), weights.out_ch());
-        if !active.is_empty() {
-            let chunk = active.len().div_ceil(workers.min(active.len()));
-            let shards: Vec<Result<Shard>> = crossbeam::scope(|s| {
-                let handles: Vec<_> = active
-                    .chunks(chunk)
-                    .zip(first_groups.chunks(chunk))
-                    .map(|(tiles, groups)| {
-                        let enc = &enc;
-                        let grid = &grid;
-                        let extent = input.extent();
-                        s.spawn(move |_| -> Result<Shard> {
-                            let mut shard = Shard {
-                                output: SparseTensor::new(extent, weights.out_ch()),
-                                stats: CycleStats::default(),
-                                telemetry: LayerTelemetry::new(),
-                                trace: PipelineTrace::new(self.cfg.record_trace),
-                            };
-                            let mut cc = ComputingCore::new(
-                                weights,
-                                self.cfg.ic_parallel,
-                                self.cfg.oc_parallel,
-                                relu,
-                            );
-                            for (info, &first) in tiles.iter().zip(groups) {
-                                let got = self.run_tile(
-                                    enc,
-                                    info,
-                                    grid,
-                                    &mut cc,
-                                    &mut shard.output,
-                                    first,
-                                    resident,
-                                    &mut shard.stats,
-                                    &mut shard.telemetry,
-                                    &mut shard.trace,
-                                )?;
-                                debug_assert_eq!(got, first + info.nnz);
-                            }
-                            Ok(shard)
-                        })
-                    })
-                    .collect();
-                handles
-                    .into_iter()
-                    .map(|h| h.join().expect("tile shard thread panicked"))
-                    .collect()
-            })
-            .expect("tile shard scope panicked");
-            for shard in shards {
-                let shard = shard?;
-                stats += &shard.stats;
-                tele.merge(&shard.telemetry);
-                trace.extend(&shard.trace);
-                for (c, feats) in shard.output.iter() {
-                    output.insert(c, feats).expect("centre lies in the grid");
-                }
-            }
-        }
-
-        let compute_cycles = stats.pipeline_cycles + stats.tile_overhead_cycles;
-        let weight_cycles = if self.cfg.weight_load_overlap || !load_weights {
-            0
-        } else {
-            ((weights.len() + weights.out_ch() * 4) as f64 / self.cfg.dram_bytes_per_cycle).ceil()
-                as u64
-        };
-        stats.dram_stall_cycles = weight_cycles
-            + dram.stall_cycles(
-                self.cfg.dram_bytes_per_cycle,
-                self.cfg.dram_overlap,
-                compute_cycles,
-            );
-        stats.layer_overhead_cycles = self.cfg.per_layer_overhead_cycles;
-        stats.dram_bytes_in = dram.bytes_in();
-        stats.dram_bytes_out = dram.bytes_out();
-
-        for buf in [&weight_buf, &act_buf, &mask_buf, &out_buf] {
-            tele.buffers.push(buf.telemetry());
-        }
-
-        output.canonicalize();
-        Ok(LayerRun {
-            output,
-            stats,
-            trace,
-            telemetry: tele,
-        })
+        run.output.canonicalize();
+        Ok(run)
     }
 
     /// The per-tile cycle loop: SDMU (scan ∥ fetch) and CC advance each
-    /// cycle, coupled through the FIFO group. Returns the next free match
-    /// group ordinal.
+    /// cycle, coupled through the FIFO group, accumulating into `run`.
+    /// Returns the next free match group ordinal.
     ///
     /// With `resident` set, the matching work product is already on chip:
     /// the scan/fetch stages still *execute* (they are what produces the
@@ -559,13 +351,16 @@ impl Esca {
         info: &esca_tensor::TileInfo,
         grid: &esca_tensor::TileGrid,
         cc: &mut ComputingCore<'_>,
-        output: &mut SparseTensor<Q16>,
         first_group: usize,
         resident: bool,
-        stats: &mut CycleStats,
-        tele: &mut LayerTelemetry,
-        trace: &mut PipelineTrace,
-    ) -> Result<usize> {
+        run: &mut LayerRun,
+    ) -> usize {
+        let LayerRun {
+            output,
+            stats,
+            trace,
+            telemetry: tele,
+        } = run;
         let mut sdmu = TileSdmu::new(
             enc,
             info,
@@ -729,7 +524,7 @@ impl Esca {
                 .max(sdmu.fifos.peak_occupancy() as u64);
             tele.record_fifo_totals(&sdmu.fifos);
         }
-        Ok(sdmu.next_group())
+        sdmu.next_group()
     }
 
     /// Convenience wrapper: quantizes a float input and float weights with
@@ -884,7 +679,11 @@ impl Esca {
             let mut x = frame.clone();
             let mut total = CycleStats::default();
             for (w, relu) in layers {
-                let run = self.run_layer_opts(&x, w, *relu, i == 0)?;
+                let opts = LayerOpts {
+                    load_weights: i == 0,
+                    ..LayerOpts::default()
+                };
+                let run = self.run_layer_with(&x, w, *relu, opts)?;
                 total += &run.stats;
                 x = run.output;
             }
@@ -1090,7 +889,15 @@ mod tests {
         cfg.matching_resident = true;
         let via_cfg = Esca::new(cfg)
             .unwrap()
-            .run_layer_opts(&qin, &qw, false, false)
+            .run_layer_with(
+                &qin,
+                &qw,
+                false,
+                LayerOpts {
+                    load_weights: false,
+                    ..LayerOpts::default()
+                },
+            )
             .unwrap();
         assert_eq!(via_cfg.stats, resident.stats);
         assert!(via_cfg.output.same_content(&resident.output));

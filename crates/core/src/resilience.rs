@@ -36,18 +36,17 @@ use crate::admission::{
 use crate::config::EscaConfig;
 use crate::error::EscaError;
 use crate::stats::CycleStats;
-use crate::streaming::{deliver, run_frame, span_chrome_trace, FrameSpanTrace, StreamingSession};
-use crate::telemetry::LayerTelemetry;
-use crossbeam::channel;
+use crate::streaming::{
+    run_frame, span_chrome_trace, FrameFold, FrameOut, FrameSpanTrace, StreamingSession,
+};
 use esca_sscn::engine::{FlatEngine, RulebookCache};
 use esca_sscn::gemm::GemmBackendKind;
 use esca_sscn::quant::QuantizedWeights;
-use esca_telemetry::{ChromeTrace, FlightEvent, FrameSpanCtx, Registry, TelemetrySnapshot};
+use esca_telemetry::{ChromeTrace, FlightEvent, Registry, TelemetrySnapshot};
 use esca_tensor::{SparseTensor, Q16};
 use serde::Serialize;
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, Once, OnceLock, PoisonError};
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 /// Bytes per modeled BRAM line (one 64-bit word, one parity bit each).
 const BRAM_LINE_BYTES: usize = 8;
@@ -975,7 +974,7 @@ fn flip_feature_bit(t: &SparseTensor<Q16>, word: usize, bit: u8) -> SparseTensor
 
 /// What one attempt produced, plus its accounting.
 struct AttemptOutcome {
-    result: Result<(SparseTensor<Q16>, CycleStats, LayerTelemetry), EscaError>,
+    result: Result<FrameOut, EscaError>,
     cost_cycles: u64,
     stall_cycles: u64,
     silent: bool,
@@ -1174,10 +1173,7 @@ fn run_frame_resilient(
     shards: usize,
     backend: GemmBackendKind,
     cfg: &FaultConfig,
-) -> (
-    FrameReport,
-    Option<(SparseTensor<Q16>, CycleStats, LayerTelemetry)>,
-) {
+) -> (FrameReport, Option<FrameOut>) {
     let frame_words = frame.nnz() * frame.channels();
     let mut records: Vec<FaultRecord> = Vec::new();
     let mut spent = 0u64;
@@ -1186,13 +1182,52 @@ fn run_frame_resilient(
     let mut fell_back = false;
     let mut last_err: Option<EscaError> = None;
     let attempts_max = cfg.recovery.max_retries.saturating_add(1);
-    let report = |outcome: FrameOutcome,
-                  attempts: u32,
-                  records: Vec<FaultRecord>,
-                  silent: bool,
-                  fell_back: bool,
-                  spent: u64,
-                  stalls: u64| FrameReport {
+    let (outcome, attempts, result) = 'attempts: {
+        for attempt in 0..attempts_max {
+            let mut plan = plan_for(cfg, esca.config(), frame_words, idx, attempt);
+            let out = execute_attempt(
+                esca,
+                layers,
+                cache,
+                frame,
+                idx,
+                load_weights,
+                degraded,
+                shards,
+                backend,
+                &mut plan,
+            );
+            spent += out.cost_cycles;
+            stall_total += out.stall_cycles;
+            records.extend(plan);
+            match out.result {
+                Ok(ok) => {
+                    silent |= out.silent;
+                    fell_back |= out.fell_back;
+                    let outcome = if attempt == 0 {
+                        FrameOutcome::Ok
+                    } else {
+                        FrameOutcome::Retried { retries: attempt }
+                    };
+                    break 'attempts (outcome, attempt + 1, Some(ok));
+                }
+                Err(e) => {
+                    last_err = Some(e);
+                    if cfg
+                        .recovery
+                        .cycle_budget
+                        .is_some_and(|budget| spent >= budget)
+                    {
+                        let reason = DropReason::DeadlineExceeded;
+                        break 'attempts (FrameOutcome::Dropped { reason }, attempt + 1, None);
+                    }
+                }
+            }
+        }
+        let error = last_err.expect("invariant: at least one attempt ran");
+        (FrameOutcome::Failed { error }, attempts_max, None)
+    };
+    let report = FrameReport {
         frame: idx,
         tenant,
         degraded,
@@ -1202,83 +1237,9 @@ fn run_frame_resilient(
         silent_corruption: silent,
         fell_back,
         spent_cycles: spent,
-        injected_stall_cycles: stalls,
+        injected_stall_cycles: stall_total,
     };
-    for attempt in 0..attempts_max {
-        let mut plan = plan_for(cfg, esca.config(), frame_words, idx, attempt);
-        let out = execute_attempt(
-            esca,
-            layers,
-            cache,
-            frame,
-            idx,
-            load_weights,
-            degraded,
-            shards,
-            backend,
-            &mut plan,
-        );
-        spent += out.cost_cycles;
-        stall_total += out.stall_cycles;
-        records.extend(plan);
-        match out.result {
-            Ok(ok) => {
-                silent |= out.silent;
-                fell_back |= out.fell_back;
-                let outcome = if attempt == 0 {
-                    FrameOutcome::Ok
-                } else {
-                    FrameOutcome::Retried { retries: attempt }
-                };
-                return (
-                    report(
-                        outcome,
-                        attempt + 1,
-                        records,
-                        silent,
-                        fell_back,
-                        spent,
-                        stall_total,
-                    ),
-                    Some(ok),
-                );
-            }
-            Err(e) => {
-                last_err = Some(e);
-                if let Some(budget) = cfg.recovery.cycle_budget {
-                    if spent >= budget {
-                        return (
-                            report(
-                                FrameOutcome::Dropped {
-                                    reason: DropReason::DeadlineExceeded,
-                                },
-                                attempt + 1,
-                                records,
-                                silent,
-                                fell_back,
-                                spent,
-                                stall_total,
-                            ),
-                            None,
-                        );
-                    }
-                }
-            }
-        }
-    }
-    let error = last_err.expect("invariant: at least one attempt ran");
-    (
-        report(
-            FrameOutcome::Failed { error },
-            attempts_max,
-            records,
-            silent,
-            fell_back,
-            spent,
-            stall_total,
-        ),
-        None,
-    )
+    (report, result)
 }
 
 // ---------------------------------------------------------------------------
@@ -1375,90 +1336,75 @@ impl StreamingSession {
         let outcome = IngestQueue::evaluate(admission, arrivals);
         let mut rec_by_frame: Vec<AdmissionRecord> = outcome.records.clone();
         rec_by_frame.sort_by_key(|r| r.frame);
-        let first_admitted = outcome
+        // Admitted frames in service order; the first one loads weights.
+        let admitted: Vec<AdmissionRecord> = outcome
             .records
             .iter()
-            .find(|r| r.verdict.runs())
-            .map(|r| r.frame);
+            .filter(|r| r.verdict.runs())
+            .copied()
+            .collect();
+        let submitted = admitted.len();
+        let first_admitted = admitted.first().map(|r| r.frame);
         let policy_label = admission.policy_label();
         let depth = admission.queue_depth.max(1) as u64;
-        let (tx, rx) = channel::unbounded();
-        let undelivered = Arc::new(AtomicU64::new(0));
-        let mut submitted = 0usize;
-        for rec in &outcome.records {
-            if !rec.verdict.runs() {
-                continue;
-            }
-            let idx = rec.frame;
-            submitted += 1;
-            let esca = Arc::clone(&self.esca);
-            let layers = Arc::clone(&self.layers);
-            let cache = Arc::clone(&self.rulebook_cache);
-            let frame = frames[idx].clone();
-            let tx = tx.clone();
-            let undelivered = Arc::clone(&undelivered);
-            let shards = self.layer_shards;
-            let backend = self.gemm_backend;
-            let cfg = *cfg;
-            let tenant = rec.tenant;
-            let degraded = rec.verdict == AdmissionVerdict::Degraded;
-            let load = Some(idx) == first_admitted;
-            self.pool.execute(move |worker| {
-                // Host-latency reporting only (flight-recorder wall
-                // field); fault sites and cycle stats never read this
-                // timer. Audited in analyze/allowlist.tsv (L1-wall-clock).
-                #[allow(clippy::disallowed_methods)]
-                let t0 = Instant::now();
-                let out = run_frame_resilient(
-                    &esca, &layers, &cache, &frame, idx, tenant, load, degraded, shards, backend,
-                    &cfg,
-                );
-                let wall = t0.elapsed();
-                deliver(&tx, &undelivered, (out, wall, worker));
-            })?;
-        }
-        drop(tx);
-        let mut reports: Vec<Option<FrameReport>> = (0..n).map(|_| None).collect();
-        let mut results: Vec<Option<(SparseTensor<Q16>, CycleStats, LayerTelemetry)>> =
-            (0..n).map(|_| None).collect();
+        let (esca, layers) = (Arc::clone(&self.esca), Arc::clone(&self.layers));
+        let cache = Arc::clone(&self.rulebook_cache);
+        let shared: Arc<[SparseTensor<Q16>]> = frames.into();
+        let (shards, backend, cfg) = (self.layer_shards, self.gemm_backend, *cfg);
+        let job = move |rec: AdmissionRecord| {
+            Ok(run_frame_resilient(
+                &esca,
+                &layers,
+                &cache,
+                &shared[rec.frame],
+                rec.frame,
+                rec.tenant,
+                Some(rec.frame) == first_admitted,
+                rec.verdict == AdmissionVerdict::Degraded,
+                shards,
+                backend,
+                &cfg,
+            ))
+        };
         let mut frame_wall: Vec<Duration> = vec![Duration::ZERO; n];
         let mut frame_worker: Vec<usize> = vec![0; n];
-        // Live exposition (hub attached only): completion-order folds are
-        // legal because the merge rules are commutative; the final report
-        // below is rebuilt in frame order, so determinism is untouched.
-        let mut live_cycle = Registry::new();
-        let mut live_host = Registry::new();
+        let mut live = self.hub.as_deref().map(|hub| (hub, FrameFold::new(shards)));
         let mut live_done = 0u64;
         let mut live_dropped = 0u64;
         let backend_label = self.gemm_backend.label();
-        for _ in 0..submitted {
-            let ((rep, res), wall, worker) = rx.recv().expect("resilient job always reports");
-            let idx = rep.frame;
-            if let Some(hub) = &self.hub {
+        let (results, _) = self
+            .pool
+            .map(admitted.clone(), job, |k, worker, wall, result| {
+                let rec = &admitted[k];
+                frame_wall[rec.frame] = wall;
+                frame_worker[rec.frame] = worker;
+                let Some((hub, live)) = &mut live else { return };
+                let failed;
+                let rep = match result {
+                    Ok((rep, run)) => {
+                        if let Some(run) = run {
+                            live.push(rec.frame, rep.attempts.saturating_sub(1), worker, wall, run);
+                        }
+                        rep
+                    }
+                    Err(_) => {
+                        failed = job_failed(rec);
+                        &failed
+                    }
+                };
                 if rep.outcome.completed() {
                     live_done += 1;
                 } else {
                     live_dropped += 1;
                 }
-                if let Some((_, stats, tele)) = &res {
-                    stats.record_into(&mut live_cycle);
-                    tele.record_into(&mut live_cycle);
-                    live_cycle.observe("esca_frame_cycles", &[], stats.total_cycles());
-                }
-                esca_telemetry::host::observe_wall(
-                    &mut live_host,
-                    "esca_frame_wall_micros",
-                    &[],
-                    wall,
-                );
                 hub.record_flight(flight_event(
-                    &rep,
-                    &rec_by_frame[idx].verdict.label(),
+                    rep,
+                    &rec.verdict.label(),
                     worker,
                     backend_label,
                     wall,
                 ));
-                hub.publish_snapshot(TelemetrySnapshot::from_registries(&live_cycle, &live_host));
+                hub.publish_snapshot(live.snapshot());
                 hub.publish_health(self.health_report_admission(
                     "streaming",
                     submitted as u64,
@@ -1467,11 +1413,17 @@ impl StreamingSession {
                     policy_label,
                     depth,
                 ));
-            }
-            frame_wall[idx] = wall;
-            frame_worker[idx] = worker;
-            results[idx] = res;
-            reports[idx] = Some(rep);
+            });
+        let mut reports: Vec<Option<FrameReport>> = (0..n).map(|_| None).collect();
+        let mut runs: Vec<Option<FrameOut>> = (0..n).map(|_| None).collect();
+        for (rec, result) in admitted.iter().zip(results) {
+            let (rep, run) = match result {
+                Ok(done) => done,
+                Err(EscaError::PoolClosed) => return Err(EscaError::PoolClosed),
+                Err(_) => (job_failed(rec), None),
+            };
+            reports[rec.frame] = Some(rep);
+            runs[rec.frame] = run;
         }
         for (idx, slot) in reports.iter_mut().enumerate() {
             if slot.is_none() {
@@ -1482,18 +1434,7 @@ impl StreamingSession {
                     // Queue-full rejection or DropOldest eviction.
                     _ => DropReason::Backpressure,
                 };
-                let rep = FrameReport {
-                    frame: idx,
-                    tenant: rec.tenant,
-                    degraded: false,
-                    outcome: FrameOutcome::Dropped { reason },
-                    attempts: 0,
-                    injected: Vec::new(),
-                    silent_corruption: false,
-                    fell_back: false,
-                    spent_cycles: 0,
-                    injected_stall_cycles: 0,
-                };
+                let rep = bare_report(rec, FrameOutcome::Dropped { reason }, 0);
                 if let Some(hub) = &self.hub {
                     hub.record_flight(flight_event(
                         &rep,
@@ -1514,47 +1455,23 @@ impl StreamingSession {
 
         // Cycle domain: frame-order fold of completed frames' stats and
         // telemetry, plus the fault counters — all deterministic. Host
-        // domain: worker/queue facts only.
-        let mut cycle_reg = Registry::new();
-        let mut host_reg = Registry::new();
-        host_reg.gauge_max("esca_stream_workers", &[], self.pool.workers() as u64);
-        host_reg.gauge_max("esca_stream_queue_depth", &[], submitted as u64);
-        host_reg.counter_add(
-            "esca_results_undelivered_total",
-            &[],
-            undelivered.load(Ordering::Relaxed),
-        );
+        // domain: wall, worker and queue facts only.
+        let mut fold = FrameFold::new(shards);
+        self.record_pool_metrics(&mut fold.host, submitted);
         let mut outputs = Vec::with_capacity(n);
         let mut per_frame = Vec::with_capacity(n);
-        let mut frame_spans = Vec::new();
-        for (idx, res) in results.into_iter().enumerate() {
-            match res {
-                Some((out, stats, tele)) => {
-                    stats.record_into(&mut cycle_reg);
-                    tele.record_into(&mut cycle_reg);
-                    cycle_reg.observe("esca_frame_cycles", &[], stats.total_cycles());
-                    frame_spans.push(FrameSpanTrace {
-                        ctx: FrameSpanCtx {
-                            frame: idx as u64,
-                            attempt: u64::from(frame_reports[idx].attempts.saturating_sub(1)),
-                            worker: frame_worker[idx] as u64,
-                            shards: self.layer_shards as u64,
-                        },
-                        total_cycles: stats.total_cycles(),
-                        spans: tele.layer_spans.clone(),
-                    });
-                    outputs.push(Some(out));
-                    per_frame.push(Some(stats));
-                }
-                None => {
-                    outputs.push(None);
-                    per_frame.push(None);
-                }
+        for (idx, run) in runs.into_iter().enumerate() {
+            if let Some(run) = &run {
+                let attempt = frame_reports[idx].attempts.saturating_sub(1);
+                fold.push(idx, attempt, frame_worker[idx], frame_wall[idx], run);
             }
+            let (out, stats) = run.map(|(out, stats, _)| (out, stats)).unzip();
+            outputs.push(out);
+            per_frame.push(stats);
         }
-        counters.record_into(&mut cycle_reg);
-        record_admission_into(&outcome, &mut cycle_reg);
-        let telemetry = TelemetrySnapshot::from_registries(&cycle_reg, &host_reg);
+        counters.record_into(&mut fold.cycle);
+        record_admission_into(&outcome, &mut fold.cycle);
+        let telemetry = fold.snapshot();
         if let Some(hub) = &self.hub {
             hub.publish_snapshot(telemetry.clone());
             hub.publish_health(self.health_report_admission(
@@ -1575,12 +1492,37 @@ impl StreamingSession {
             telemetry,
             workers: self.pool.workers(),
             clock_mhz: self.esca.config().clock_mhz,
-            frame_spans,
+            frame_spans: fold.spans,
             frame_wall,
             admissions: rec_by_frame,
             queue_peak: outcome.peak_in_system as u64,
         })
     }
+}
+
+/// A frame's report when no attempt result exists: an admission drop
+/// (`attempts` 0) or an admitted frame whose job panicked outside the
+/// attempt guard, which still ends in exactly one terminal outcome.
+fn bare_report(rec: &AdmissionRecord, outcome: FrameOutcome, attempts: u32) -> FrameReport {
+    FrameReport {
+        frame: rec.frame,
+        tenant: rec.tenant,
+        degraded: rec.verdict == AdmissionVerdict::Degraded,
+        outcome,
+        attempts,
+        injected: Vec::new(),
+        silent_corruption: false,
+        fell_back: false,
+        spent_cycles: 0,
+        injected_stall_cycles: 0,
+    }
+}
+
+/// The report of an admitted frame whose job panicked outside the
+/// attempt guard.
+fn job_failed(rec: &AdmissionRecord) -> FrameReport {
+    let error = EscaError::WorkerPanic { frame: rec.frame };
+    bare_report(rec, FrameOutcome::Failed { error }, 1)
 }
 
 /// Builds one terminal flight-recorder event from a frame's report.

@@ -38,7 +38,8 @@ type Job = Box<dyn FnOnce(usize) + Send + 'static>;
 /// A persistent pool of worker threads consuming boxed jobs from an
 /// unbounded channel. Threads live for the lifetime of the pool (they are
 /// joined on drop), so repeated batches reuse them — the "persistent
-/// worker pool" half of the streaming engine.
+/// worker pool" half of the streaming engine. Batches go through
+/// [`WorkerPool::map`], the one frame driver.
 ///
 /// Workers survive panicking jobs: each job runs under `catch_unwind`, so
 /// a panic is counted ([`WorkerPool::panicked_jobs`]) and the thread goes
@@ -48,6 +49,7 @@ pub struct WorkerPool {
     handles: Vec<std::thread::JoinHandle<()>>,
     panicked: Arc<AtomicU64>,
     rejected: AtomicU64,
+    undelivered: Arc<AtomicU64>,
 }
 
 impl std::fmt::Debug for WorkerPool {
@@ -89,6 +91,7 @@ impl WorkerPool {
             handles,
             panicked,
             rejected: AtomicU64::new(0),
+            undelivered: Arc::new(AtomicU64::new(0)),
         }
     }
 
@@ -129,15 +132,74 @@ impl WorkerPool {
             crate::EscaError::PoolClosed
         })
     }
-}
 
-/// Delivers a job result to its batch collector. Collectors drain exactly
-/// as many messages as jobs were submitted, so a failed send means the
-/// collector was abandoned mid-batch (a panic unwound it); the result is
-/// undeliverable and the drop is counted so it can never pass silently.
-pub(crate) fn deliver<T>(tx: &channel::Sender<T>, undelivered: &AtomicU64, msg: T) {
-    if tx.send(msg).is_err() {
-        undelivered.fetch_add(1, Ordering::Relaxed);
+    /// Runs `job` over `items` on the pool — the one frame driver every
+    /// batch entry point calls. Returns one result per item **in item
+    /// order**, plus the host wall time of the whole map.
+    ///
+    /// Each job runs under `catch_unwind`: a job that panics on item `k`
+    /// yields `Err(EscaError::WorkerPanic { frame: k })` (and counts in
+    /// [`WorkerPool::panicked_jobs`]) while the other items complete, and
+    /// an item the pool could not run yields `Err(EscaError::PoolClosed)`.
+    /// Neither panics the caller. `on_arrival(idx, worker, wall, &result)`
+    /// sees every result on the calling thread in completion order — the
+    /// hook for live exposition; anything that must be deterministic folds
+    /// the returned, index-ordered results instead.
+    ///
+    /// This is the one audited host-timing site of the batch drivers
+    /// (L1-wall-clock in `analyze/allowlist.tsv`): the per-job and batch
+    /// wall times feed host-domain fields only, never [`CycleStats`].
+    pub fn map<I, T, F>(
+        &self,
+        items: Vec<I>,
+        job: F,
+        mut on_arrival: impl FnMut(usize, usize, Duration, &Result<T>),
+    ) -> (Vec<Result<T>>, Duration)
+    where
+        I: Send + 'static,
+        T: Send + 'static,
+        F: Fn(I) -> Result<T> + Send + Sync + 'static,
+    {
+        #[allow(clippy::disallowed_methods)]
+        let start = Instant::now();
+        let job = Arc::new(job);
+        let (tx, rx) = channel::unbounded();
+        let mut slots: Vec<Option<Result<T>>> = Vec::with_capacity(items.len());
+        for (idx, item) in items.into_iter().enumerate() {
+            let (job, tx) = (Arc::clone(&job), tx.clone());
+            let panicked = Arc::clone(&self.panicked);
+            let undelivered = Arc::clone(&self.undelivered);
+            let submitted = self.execute(move |worker| {
+                let began = start.elapsed();
+                // The job owns its item; on panic the item is discarded
+                // whole, so the unwind-safety assertion holds.
+                let run = std::panic::AssertUnwindSafe(|| job(item));
+                let result = std::panic::catch_unwind(run).unwrap_or_else(|_| {
+                    panicked.fetch_add(1, Ordering::Relaxed);
+                    Err(crate::EscaError::WorkerPanic { frame: idx })
+                });
+                let wall = start.elapsed().saturating_sub(began);
+                // Fails only if the collector below unwound mid-batch;
+                // counted so a lost result never passes silently.
+                if tx.send((idx, worker, wall, result)).is_err() {
+                    undelivered.fetch_add(1, Ordering::Relaxed);
+                }
+            });
+            // A rejected item is settled now; a submitted one on arrival.
+            slots.push(submitted.err().map(Err));
+        }
+        drop(tx);
+        // Every submitted job sends exactly once, panic or not, so this
+        // ends after the last arrival.
+        for (idx, worker, wall, result) in rx.iter() {
+            on_arrival(idx, worker, wall, &result);
+            slots[idx] = Some(result);
+        }
+        let results = slots
+            .into_iter()
+            .map(|slot| slot.unwrap_or(Err(crate::EscaError::PoolClosed)))
+            .collect();
+        (results, start.elapsed())
     }
 }
 
@@ -167,14 +229,8 @@ pub struct StreamingSession {
     pub(crate) operating_point: Option<OperatingPoint>,
 }
 
-/// One frame's results, internal to batch collection.
-struct FrameRun {
-    output: SparseTensor<Q16>,
-    stats: CycleStats,
-    telemetry: LayerTelemetry,
-    wall: Duration,
-    worker: usize,
-}
+/// One frame through the cycle model: its output, stats and telemetry.
+pub(crate) type FrameOut = (SparseTensor<Q16>, CycleStats, LayerTelemetry);
 
 pub(crate) fn run_frame(
     esca: &Esca,
@@ -182,16 +238,12 @@ pub(crate) fn run_frame(
     frame: &SparseTensor<Q16>,
     opts: LayerOpts,
     layer_shards: usize,
-) -> Result<(SparseTensor<Q16>, CycleStats, LayerTelemetry)> {
+) -> Result<FrameOut> {
     let mut x = frame.clone();
     let mut total = CycleStats::default();
     let mut tele = LayerTelemetry::new();
     for (layer, (w, relu)) in layers.iter().enumerate() {
-        let run = if layer_shards > 1 {
-            esca.run_layer_sharded_with(&x, w, *relu, opts, layer_shards)?
-        } else {
-            esca.run_layer_with(&x, w, *relu, opts)?
-        };
+        let run = esca.run_layer_sharded_with(&x, w, *relu, opts, layer_shards)?;
         // The layer's frame-relative cycle interval, recorded here (after
         // the shard merge) so shard count cannot show in the spans.
         let start_cycle = total.total_cycles();
@@ -206,6 +258,68 @@ pub(crate) fn run_frame(
         x = run.output;
     }
     Ok((x, total, tele))
+}
+
+/// The frame-order fold both cycle-model batch drivers share: a completed
+/// frame's stats and telemetry into the cycle registry, its wall time and
+/// worker into the host registry, and its span trace. The final report
+/// folds on the calling thread in frame order, so its cycle half is
+/// byte-identical for any `(workers, shards)` split. The live view (hub
+/// attached only) folds the same data in completion order — legal
+/// because every merge is commutative — so each published snapshot is a
+/// monotone prefix of the final one.
+pub(crate) struct FrameFold {
+    pub(crate) cycle: Registry,
+    pub(crate) host: Registry,
+    pub(crate) spans: Vec<FrameSpanTrace>,
+    shards: u64,
+}
+
+impl FrameFold {
+    pub(crate) fn new(shards: usize) -> Self {
+        FrameFold {
+            cycle: Registry::new(),
+            host: Registry::new(),
+            spans: Vec::new(),
+            shards: shards as u64,
+        }
+    }
+
+    pub(crate) fn push(
+        &mut self,
+        frame: usize,
+        attempt: u32,
+        worker: usize,
+        wall: Duration,
+        run: &FrameOut,
+    ) {
+        let (_, stats, tele) = run;
+        stats.record_into(&mut self.cycle);
+        tele.record_into(&mut self.cycle);
+        self.cycle
+            .observe("esca_frame_cycles", &[], stats.total_cycles());
+        host::observe_wall(&mut self.host, "esca_frame_wall_micros", &[], wall);
+        let worker_label = worker.to_string();
+        self.host.counter_add(
+            "esca_worker_frames_total",
+            &[("worker", worker_label.as_str())],
+            1,
+        );
+        self.spans.push(FrameSpanTrace {
+            ctx: FrameSpanCtx {
+                frame: frame as u64,
+                attempt: u64::from(attempt),
+                worker: worker as u64,
+                shards: self.shards,
+            },
+            total_cycles: stats.total_cycles(),
+            spans: tele.layer_spans.clone(),
+        });
+    }
+
+    pub(crate) fn snapshot(&self) -> TelemetrySnapshot {
+        TelemetrySnapshot::from_registries(&self.cycle, &self.host)
+    }
 }
 
 impl StreamingSession {
@@ -297,7 +411,7 @@ impl StreamingSession {
     }
 
     /// Additionally shards tile-level compute *within* each layer across
-    /// `shards` threads (see [`Esca::run_layer_sharded`]); results stay
+    /// `shards` threads (see [`Esca::run_layer_sharded_with`]); results stay
     /// bit-identical. Useful when frames are few but large.
     pub fn with_layer_shards(mut self, shards: usize) -> Self {
         self.layer_shards = shards.max(1);
@@ -402,212 +516,106 @@ impl StreamingSession {
     /// Propagates the accelerator error of the lowest-indexed failing
     /// frame (deterministic across worker counts).
     pub fn run_batch(&self, frames: &[SparseTensor<Q16>]) -> Result<StreamReport> {
-        // Host-throughput reporting only (StreamReport::wall); never feeds
-        // CycleStats. Audited in analyze/allowlist.tsv (L1-wall-clock).
-        #[allow(clippy::disallowed_methods)]
-        let start = Instant::now();
+        let n = frames.len();
         // Residency hints are derived sequentially on the calling thread,
         // before any job is submitted, so they cannot depend on worker
         // scheduling.
         let hints = self.residency_hints(frames);
-        let (tx, rx) = channel::unbounded();
-        let undelivered = Arc::new(AtomicU64::new(0));
-        for (idx, frame) in frames.iter().enumerate() {
-            let esca = Arc::clone(&self.esca);
-            let layers = Arc::clone(&self.layers);
-            let frame = frame.clone();
-            let tx = tx.clone();
-            let undelivered = Arc::clone(&undelivered);
-            let shards = self.layer_shards;
-            let opts = LayerOpts {
-                load_weights: idx == 0,
-                matching_resident: hints[idx],
-            };
-            self.pool.execute(move |worker| {
-                // Host-throughput reporting only (FrameRun::frame_wall).
-                #[allow(clippy::disallowed_methods)]
-                let t0 = Instant::now();
-                let result = run_frame(&esca, &layers, &frame, opts, shards);
-                deliver(&tx, &undelivered, (idx, result, t0.elapsed(), worker));
-            })?;
-        }
-        // Steady-state probe: frame 0 re-run with weights resident, so the
-        // deployment model knows the pure weight-load overhead. Purely
-        // cycle-model work; does not contribute to outputs or wall stats.
-        if !frames.is_empty() {
-            let esca = Arc::clone(&self.esca);
-            let layers = Arc::clone(&self.layers);
-            let frame = frames[0].clone();
-            let tx = tx.clone();
-            let undelivered = Arc::clone(&undelivered);
-            let shards = self.layer_shards;
-            // The probe differs from frame 0 only by the weight load, so
-            // weight_load_cycles() stays a pure weight-path delta.
+        let mut items: Vec<(usize, LayerOpts)> = (0..n)
+            .map(|idx| {
+                let opts = LayerOpts {
+                    load_weights: idx == 0,
+                    matching_resident: hints[idx],
+                };
+                (idx, opts)
+            })
+            .collect();
+        // Steady-state probe, submitted last: frame 0 re-run with weights
+        // resident, so the deployment model knows the pure weight-load
+        // overhead (the probe differs from frame 0 only by the weight
+        // load). Purely cycle-model work; does not contribute to outputs
+        // or wall stats.
+        if n > 0 {
             let opts = LayerOpts {
                 load_weights: false,
                 matching_resident: hints[0],
             };
-            self.pool.execute(move |worker| {
-                // Host-throughput reporting only; the probe's cycle stats
-                // come from the model, not this timer.
-                #[allow(clippy::disallowed_methods)]
-                let t0 = Instant::now();
-                let result = run_frame(&esca, &layers, &frame, opts, shards);
-                deliver(
-                    &tx,
-                    &undelivered,
-                    (usize::MAX, result, t0.elapsed(), worker),
-                );
-            })?;
+            items.push((0, opts));
         }
-        drop(tx);
-
-        let mut slots: Vec<Option<FrameRun>> = (0..frames.len()).map(|_| None).collect();
-        let mut steady_frame0: Option<CycleStats> = None;
-        let mut errors: Vec<(usize, crate::EscaError)> = Vec::new();
-        let expected = frames.len() + usize::from(!frames.is_empty());
-        // Live exposition (hub attached only): arrivals fold into interim
-        // registries in completion order — legal because the merge rules
-        // are commutative — and each arrival publishes a fresh snapshot
-        // through the hub's Arc swap. The *final* report below is still
-        // built in frame order from scratch, so its cycle half stays
-        // byte-identical across worker/shard splits; the live view is a
-        // monotone prefix of the same data.
-        let mut live_cycle = Registry::new();
-        let mut live_host = Registry::new();
+        let queued = items.len();
+        let (esca, layers) = (Arc::clone(&self.esca), Arc::clone(&self.layers));
+        let shared: Arc<[SparseTensor<Q16>]> = frames.into();
+        let shards = self.layer_shards;
+        let backend = self.gemm_backend.label();
+        let mut live = self.hub.as_deref().map(|hub| (hub, FrameFold::new(shards)));
+        let mut frame_wall = vec![Duration::ZERO; n];
+        let mut frame_worker = vec![0usize; n];
         let mut completed = 0u64;
-        let backend_label = self.gemm_backend.label();
-        for _ in 0..expected {
-            let (idx, result, wall, worker) = rx.recv().expect("worker dropped a frame result");
-            match result {
-                Ok((output, stats, telemetry)) => {
-                    if idx == usize::MAX {
-                        steady_frame0 = Some(stats);
-                    } else {
-                        if let Some(hub) = &self.hub {
-                            completed += 1;
-                            stats.record_into(&mut live_cycle);
-                            telemetry.record_into(&mut live_cycle);
-                            live_cycle.observe("esca_frame_cycles", &[], stats.total_cycles());
-                            host::observe_wall(&mut live_host, "esca_frame_wall_micros", &[], wall);
-                            hub.record_flight(FlightEvent {
-                                worker: worker as u64,
-                                plan_resident: hints[idx],
-                                backend: backend_label.to_string(),
-                                cycles: stats.total_cycles(),
-                                wall_micros: wall.as_micros() as u64,
-                                ..FlightEvent::for_frame(idx as u64)
-                            });
-                            hub.publish_snapshot(TelemetrySnapshot::from_registries(
-                                &live_cycle,
-                                &live_host,
-                            ));
-                            hub.publish_health(self.health_report(
-                                "streaming",
-                                frames.len() as u64,
-                                completed,
-                                0,
-                            ));
-                        }
-                        slots[idx] = Some(FrameRun {
-                            output,
-                            stats,
-                            telemetry,
-                            wall,
-                            worker,
-                        });
-                    }
+        let (results, wall) = self.pool.map(
+            items,
+            move |(idx, opts)| run_frame(&esca, &layers, &shared[idx], opts, shards),
+            |idx, worker, wall, result| {
+                if idx >= n {
+                    return;
                 }
-                Err(e) => {
-                    if idx != usize::MAX {
-                        if let Some(hub) = &self.hub {
-                            hub.record_flight(FlightEvent {
-                                worker: worker as u64,
-                                outcome: "failed".to_string(),
-                                backend: backend_label.to_string(),
-                                wall_micros: wall.as_micros() as u64,
-                                ..FlightEvent::for_frame(idx as u64)
-                            });
-                        }
-                    }
-                    errors.push((idx, e));
+                frame_wall[idx] = wall;
+                frame_worker[idx] = worker;
+                let Some((hub, live)) = &mut live else { return };
+                let mut event = FlightEvent {
+                    worker: worker as u64,
+                    outcome: if result.is_ok() { "ok" } else { "failed" }.to_string(),
+                    backend: backend.to_string(),
+                    wall_micros: wall.as_micros() as u64,
+                    ..FlightEvent::for_frame(idx as u64)
+                };
+                if let Ok(run) = result {
+                    completed += 1;
+                    live.push(idx, 0, worker, wall, run);
+                    event.plan_resident = hints[idx];
+                    event.cycles = run.1.total_cycles();
                 }
-            }
-        }
-        if let Some((_, e)) = errors.into_iter().min_by_key(|(idx, _)| *idx) {
-            return Err(e);
-        }
+                hub.record_flight(event);
+                hub.publish_snapshot(live.snapshot());
+                hub.publish_health(self.health_report("streaming", n as u64, completed, 0));
+            },
+        );
+        // Index order, so the reported error is the lowest-indexed
+        // failing frame's whatever the completion order; the probe sits
+        // last.
+        let mut runs = results.into_iter().collect::<Result<Vec<_>>>()?;
+        let steady_frame0 = if n > 0 {
+            runs.pop().map(|(_, stats, _)| stats)
+        } else {
+            None
+        };
 
-        // Two strictly separated registries (DESIGN.md: Observability).
-        // The cycle registry folds per-frame simulated telemetry in frame
-        // order — every input is deterministic and every merge is
-        // sum/max/bucket-add, so the snapshot is byte-identical for any
-        // worker or shard count. The host registry takes wall-clock and
-        // scheduling facts and is the only place they may land.
-        let mut cycle_reg = Registry::new();
-        let mut host_reg = Registry::new();
+        // Two strictly separated registries (DESIGN.md: Observability):
+        // the cycle registry folds per-frame simulated telemetry in frame
+        // order; the host registry takes wall-clock and scheduling facts
+        // and is the only place they may land.
+        let mut fold = FrameFold::new(shards);
         // Residency hints are deterministic, so this count is part of the
         // cycle domain; the plan cache's own hit/miss counters are host
         // scheduling facts and stay in the host registry.
-        cycle_reg.counter_add(
+        fold.cycle.counter_add(
             "esca_stream_resident_frames_total",
             &[],
             hints.iter().filter(|&&h| h).count() as u64,
         );
         if let Some(plans) = &self.plan_cache {
-            plans.record_metrics(&mut host_reg);
+            plans.record_metrics(&mut fold.host);
         }
-        host_reg.gauge_max("esca_stream_workers", &[], self.pool.workers() as u64);
-        host_reg.gauge_max("esca_stream_queue_depth", &[], expected as u64);
-        // Always zero unless the collector was unwound mid-batch; surfaced
-        // so a dropped result can never pass silently.
-        host_reg.counter_add(
-            "esca_results_undelivered_total",
-            &[],
-            undelivered.load(Ordering::Relaxed),
-        );
-        let mut outputs = Vec::with_capacity(frames.len());
-        let mut per_frame = Vec::with_capacity(frames.len());
-        let mut frame_wall = Vec::with_capacity(frames.len());
-        let mut frame_spans = Vec::with_capacity(frames.len());
-        for (idx, slot) in slots.into_iter().enumerate() {
-            let fr = slot.expect("every frame reported");
-            fr.stats.record_into(&mut cycle_reg);
-            fr.telemetry.record_into(&mut cycle_reg);
-            cycle_reg.observe("esca_frame_cycles", &[], fr.stats.total_cycles());
-            host::observe_wall(&mut host_reg, "esca_frame_wall_micros", &[], fr.wall);
-            let worker = fr.worker.to_string();
-            host_reg.counter_add(
-                "esca_worker_frames_total",
-                &[("worker", worker.as_str())],
-                1,
-            );
-            frame_spans.push(FrameSpanTrace {
-                ctx: FrameSpanCtx {
-                    frame: idx as u64,
-                    attempt: 0,
-                    worker: fr.worker as u64,
-                    shards: self.layer_shards as u64,
-                },
-                total_cycles: fr.stats.total_cycles(),
-                spans: fr.telemetry.layer_spans.clone(),
-            });
-            outputs.push(fr.output);
-            per_frame.push(fr.stats);
-            frame_wall.push(fr.wall);
+        self.record_pool_metrics(&mut fold.host, queued);
+        for (idx, run) in runs.iter().enumerate() {
+            fold.push(idx, 0, frame_worker[idx], frame_wall[idx], run);
         }
-        let wall = start.elapsed();
-        host::record_wall(&mut host_reg, "esca_batch_wall_micros_total", &[], wall);
-        let telemetry = TelemetrySnapshot::from_registries(&cycle_reg, &host_reg);
+        host::record_wall(&mut fold.host, "esca_batch_wall_micros_total", &[], wall);
+        let telemetry = fold.snapshot();
         if let Some(hub) = &self.hub {
             hub.publish_snapshot(telemetry.clone());
-            hub.publish_health(self.health_report(
-                "done",
-                frames.len() as u64,
-                frames.len() as u64,
-                0,
-            ));
+            hub.publish_health(self.health_report("done", n as u64, n as u64, 0));
         }
+        let (outputs, per_frame) = runs.into_iter().map(|(out, stats, _)| (out, stats)).unzip();
         Ok(StreamReport {
             outputs,
             per_frame,
@@ -617,8 +625,22 @@ impl StreamingSession {
             clock_mhz: self.esca.config().clock_mhz,
             workers: self.pool.workers(),
             telemetry,
-            frame_spans,
+            frame_spans: fold.spans,
         })
+    }
+
+    /// Host facts about the pool every cycle-model batch report carries:
+    /// worker count, jobs queued and results the pool could not deliver.
+    pub(crate) fn record_pool_metrics(&self, host: &mut Registry, queued: usize) {
+        host.gauge_max("esca_stream_workers", &[], self.pool.workers() as u64);
+        host.gauge_max("esca_stream_queue_depth", &[], queued as u64);
+        // Always zero unless a collector unwound mid-batch; surfaced so a
+        // dropped result can never pass silently.
+        host.counter_add(
+            "esca_results_undelivered_total",
+            &[],
+            self.pool.undelivered.load(Ordering::Relaxed),
+        );
     }
 
     /// Runs a batch of frames through the resident stack on the
@@ -638,40 +660,14 @@ impl StreamingSession {
     /// Propagates the error of the lowest-indexed failing frame
     /// (deterministic across worker counts).
     pub fn run_golden_batch(&self, frames: &[SparseTensor<Q16>]) -> Result<Vec<SparseTensor<Q16>>> {
-        let (tx, rx) = channel::unbounded();
-        let undelivered = Arc::new(AtomicU64::new(0));
-        for (idx, frame) in frames.iter().enumerate() {
-            let esca = Arc::clone(&self.esca);
-            let layers = Arc::clone(&self.layers);
-            let cache = Arc::clone(&self.rulebook_cache);
-            let frame = frame.clone();
-            let tx = tx.clone();
-            let undelivered = Arc::clone(&undelivered);
-            let backend = self.gemm_backend;
-            let plans = self.plan_cache.clone();
-            self.pool.execute(move |_worker| {
-                let result =
-                    esca.run_network_golden_planned(&frame, &layers, &cache, backend, plans);
-                deliver(&tx, &undelivered, (idx, result));
-            })?;
-        }
-        drop(tx);
-        let mut slots: Vec<Option<SparseTensor<Q16>>> = (0..frames.len()).map(|_| None).collect();
-        let mut errors: Vec<(usize, crate::EscaError)> = Vec::new();
-        for _ in 0..frames.len() {
-            let (idx, result) = rx.recv().expect("worker dropped a frame result");
-            match result {
-                Ok(out) => slots[idx] = Some(out),
-                Err(e) => errors.push((idx, e)),
-            }
-        }
-        if let Some((_, e)) = errors.into_iter().min_by_key(|(idx, _)| *idx) {
-            return Err(e);
-        }
-        Ok(slots
-            .into_iter()
-            .map(|s| s.expect("every frame reported"))
-            .collect())
+        let (esca, layers) = (Arc::clone(&self.esca), Arc::clone(&self.layers));
+        let cache = Arc::clone(&self.rulebook_cache);
+        let (backend, plans) = (self.gemm_backend, self.plan_cache.clone());
+        let job = move |frame: SparseTensor<Q16>| {
+            esca.run_network_golden_planned(&frame, &layers, &cache, backend, plans.clone())
+        };
+        let (results, _) = self.pool.map(frames.to_vec(), job, |_, _, _, _| {});
+        results.into_iter().collect()
     }
 
     /// Runs a batch of float frames through a full SS U-Net system
@@ -689,38 +685,10 @@ impl StreamingSession {
         frames: &[SparseTensor<f32>],
         act_bits: u8,
     ) -> Result<Vec<SystemRun>> {
-        let net = Arc::new(net.clone());
-        let host = *host;
-        let (tx, rx) = channel::unbounded();
-        let undelivered = Arc::new(AtomicU64::new(0));
-        for (idx, frame) in frames.iter().enumerate() {
-            let esca = Arc::clone(&self.esca);
-            let net = Arc::clone(&net);
-            let frame = frame.clone();
-            let tx = tx.clone();
-            let undelivered = Arc::clone(&undelivered);
-            self.pool.execute(move |_worker| {
-                let result = run_unet(&net, &esca, &host, &frame, act_bits);
-                deliver(&tx, &undelivered, (idx, result));
-            })?;
-        }
-        drop(tx);
-        let mut slots: Vec<Option<SystemRun>> = (0..frames.len()).map(|_| None).collect();
-        let mut errors: Vec<(usize, crate::EscaError)> = Vec::new();
-        for _ in 0..frames.len() {
-            let (idx, result) = rx.recv().expect("worker dropped a frame result");
-            match result {
-                Ok(run) => slots[idx] = Some(run),
-                Err(e) => errors.push((idx, e)),
-            }
-        }
-        if let Some((_, e)) = errors.into_iter().min_by_key(|(idx, _)| *idx) {
-            return Err(e);
-        }
-        Ok(slots
-            .into_iter()
-            .map(|s| s.expect("every frame reported"))
-            .collect())
+        let (net, host, esca) = (Arc::new(net.clone()), *host, Arc::clone(&self.esca));
+        let job = move |frame: SparseTensor<f32>| run_unet(&net, &esca, &host, &frame, act_bits);
+        let (results, _) = self.pool.map(frames.to_vec(), job, |_, _, _, _| {});
+        results.into_iter().collect()
     }
 }
 
@@ -1108,6 +1076,58 @@ mod tests {
         got.sort_unstable();
         assert_eq!(got, (0..10).collect::<Vec<_>>(), "pool lost jobs");
         assert_eq!(pool.panicked_jobs(), 2);
+    }
+
+    #[test]
+    fn map_returns_results_in_index_order_for_any_worker_count() {
+        for workers in [1usize, 2, 5] {
+            let pool = WorkerPool::new(workers);
+            let mut arrivals = Vec::new();
+            let (results, _) = pool.map(
+                (0..23u64).collect(),
+                |i| Ok(i * i),
+                |idx, worker, _, result| {
+                    assert!(worker < workers, "worker index out of range");
+                    assert_eq!(result.as_ref().ok(), Some(&(idx as u64 * idx as u64)));
+                    arrivals.push(idx);
+                },
+            );
+            let got: Vec<u64> = results.into_iter().map(|r| r.unwrap()).collect();
+            assert_eq!(got, (0..23u64).map(|i| i * i).collect::<Vec<_>>());
+            arrivals.sort_unstable();
+            assert_eq!(arrivals, (0..23).collect::<Vec<_>>(), "one arrival each");
+        }
+    }
+
+    #[test]
+    fn map_turns_a_panicking_job_into_a_typed_error_for_its_item_only() {
+        // A panicking job must cost only its own item: the item gets a
+        // typed error, the caller does not panic, the other items
+        // complete and the pool keeps serving later batches.
+        crate::resilience::quiet_injected_panics();
+        let pool = WorkerPool::new(2);
+        for k in [0usize, 3, 6] {
+            let (results, _) = pool.map(
+                (0..7usize).collect(),
+                move |i| {
+                    if i == k {
+                        crate::resilience::injected_panic(i);
+                    }
+                    Ok(i + 100)
+                },
+                |_, _, _, _| {},
+            );
+            for (i, r) in results.iter().enumerate() {
+                if i == k {
+                    assert_eq!(r, &Err(crate::EscaError::WorkerPanic { frame: k }));
+                } else {
+                    assert_eq!(r, &Ok(i + 100));
+                }
+            }
+        }
+        assert_eq!(pool.panicked_jobs(), 3);
+        let (later, _) = pool.map(vec![1, 2, 3], |i: i32| Ok(-i), |_, _, _, _| {});
+        assert_eq!(later, vec![Ok(-1), Ok(-2), Ok(-3)]);
     }
 
     #[test]

@@ -162,7 +162,10 @@ fn digest() -> String {
         "campaign must inject at least one worker panic"
     );
     assert!(ingest.counters.dropped_frames > 0, "admission must drop");
-    assert!(ingest.counters.degraded_frames > 0, "admission must degrade");
+    assert!(
+        ingest.counters.degraded_frames > 0,
+        "admission must degrade"
+    );
     let mut flight = hub.flight_dump().events;
     flight.sort_by_key(|e| e.frame);
     for ev in &mut flight {

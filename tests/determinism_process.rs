@@ -11,6 +11,7 @@
 //! which also shift the initial stack/environ layout — and compares the
 //! bit patterns of every output against the parent's.
 
+use esca::accelerator::LayerOpts;
 use esca::{Esca, EscaConfig};
 use esca_sscn::engine::FlatEngine;
 use esca_sscn::gemm::GemmBackendKind;
@@ -111,7 +112,7 @@ fn compute() -> String {
                 })?;
                 let qin = quantize_tensor(x, qw.quant().act);
                 let run = esca
-                    .run_layer_sharded_opts(&qin, &qw, true, true, workers)
+                    .run_layer_sharded_with(&qin, &qw, true, LayerOpts::default(), workers)
                     .map_err(|e| esca_sscn::SscnError::InvalidConfig {
                         reason: e.to_string(),
                     })?;

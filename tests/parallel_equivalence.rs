@@ -1,9 +1,8 @@
 //! Equivalence of every parallel execution path with its sequential
 //! reference, over seeded random workloads:
 //!
-//! * `submanifold_conv3d_par` ≡ `submanifold_conv3d` (float kernels);
 //! * the sharded tile path ≡ the sequential accelerator — same output
-//!   *and* the same [`CycleStats`] and trace, bit for bit;
+//!   *and* the same [`CycleStats`], telemetry and trace, bit for bit;
 //! * [`StreamingSession`] batches ≡ the per-frame sequential stream, for
 //!   worker counts 1, 2 and 8, with and without layer sharding;
 //! * the flat matching-reuse engine ([`esca_sscn::engine`]) ≡ the direct
@@ -11,12 +10,11 @@
 //!   [`CycleStats`]/[`esca::PipelineTrace`] byte-identical at any rulebook
 //!   cache setting (the golden path never touches the cycle model).
 
+use esca::accelerator::LayerOpts;
 use esca::streaming::StreamingSession;
 use esca::{CycleStats, Esca, EscaConfig};
-use esca_sscn::conv::submanifold_conv3d;
 use esca_sscn::engine::{FlatEngine, RulebookCache};
 use esca_sscn::gemm::GemmBackendKind;
-use esca_sscn::par::submanifold_conv3d_par;
 use esca_sscn::quant::{quantize_tensor, QuantizedWeights};
 use esca_sscn::unet::{SsUNet, UNetConfig};
 use esca_sscn::weights::ConvWeights;
@@ -49,28 +47,6 @@ fn random_qinput(seed: u64, side: u32, ch: usize, n: usize) -> SparseTensor<Q16>
 }
 
 #[test]
-fn par_conv_matches_sequential_across_shapes() {
-    // (extent, in_ch, out_ch, nnz) across small/odd/wide shapes.
-    let cases = [
-        (8u32, 1usize, 1usize, 5usize),
-        (12, 2, 8, 40),
-        (16, 3, 5, 120),
-        (20, 8, 16, 300),
-        (24, 16, 4, 64),
-    ];
-    for (i, &(side, ic, oc, n)) in cases.iter().enumerate() {
-        let input = random_sparse(1000 + i as u64, side, ic, n);
-        let w = ConvWeights::seeded(3, ic, oc, 2000 + i as u64);
-        let seq = submanifold_conv3d(&input, &w).unwrap();
-        let par = submanifold_conv3d_par(&input, &w).unwrap();
-        assert!(
-            par.same_content(&seq),
-            "par conv diverged on case {i} ({side}³, {ic}->{oc}, nnz {n})"
-        );
-    }
-}
-
-#[test]
 fn sharded_layer_matches_sequential_bit_for_bit() {
     let esca = Esca::new(EscaConfig::default()).unwrap();
     for (i, &(side, ic, oc, n)) in [
@@ -86,7 +62,9 @@ fn sharded_layer_matches_sequential_bit_for_bit() {
         let qw = QuantizedWeights::auto(&w, 8, 10).unwrap();
         let seq = esca.run_layer(&qin, &qw, true).unwrap();
         for workers in [2usize, 3, 8] {
-            let par = esca.run_layer_sharded(&qin, &qw, true, workers).unwrap();
+            let par = esca
+                .run_layer_sharded_with(&qin, &qw, true, LayerOpts::default(), workers)
+                .unwrap();
             assert!(
                 par.output.same_content(&seq.output),
                 "sharded output diverged (case {i}, {workers} workers)"
@@ -94,6 +72,10 @@ fn sharded_layer_matches_sequential_bit_for_bit() {
             assert_eq!(
                 par.stats, seq.stats,
                 "sharded cycle stats diverged (case {i}, {workers} workers)"
+            );
+            assert_eq!(
+                par.telemetry, seq.telemetry,
+                "sharded telemetry diverged (case {i}, {workers} workers)"
             );
         }
     }
@@ -108,12 +90,18 @@ fn sharded_layer_preserves_trace_and_weight_residency() {
     let qw = QuantizedWeights::auto(&ConvWeights::seeded(3, 2, 8, 43), 8, 10).unwrap();
     // Traces concatenate in tile order: identical to sequential emission.
     let seq = esca.run_layer(&qin, &qw, false).unwrap();
-    let par = esca.run_layer_sharded(&qin, &qw, false, 4).unwrap();
+    let par = esca
+        .run_layer_sharded_with(&qin, &qw, false, LayerOpts::default(), 4)
+        .unwrap();
     assert_eq!(par.trace, seq.trace);
     // Weights-resident accounting (the streaming steady state) matches too.
-    let seq_res = esca.run_layer_opts(&qin, &qw, false, false).unwrap();
+    let resident = LayerOpts {
+        load_weights: false,
+        ..LayerOpts::default()
+    };
+    let seq_res = esca.run_layer_with(&qin, &qw, false, resident).unwrap();
     let par_res = esca
-        .run_layer_sharded_opts(&qin, &qw, false, false, 4)
+        .run_layer_sharded_with(&qin, &qw, false, resident, 4)
         .unwrap();
     assert_eq!(par_res.stats, seq_res.stats);
     assert!(seq_res.stats.total_cycles() < seq.stats.total_cycles());
@@ -124,7 +112,9 @@ fn sharded_layer_single_worker_delegates() {
     let esca = Esca::new(EscaConfig::default()).unwrap();
     let qin = random_qinput(7, 12, 2, 50);
     let qw = QuantizedWeights::auto(&ConvWeights::seeded(3, 2, 4, 8), 8, 10).unwrap();
-    let a = esca.run_layer_sharded(&qin, &qw, true, 1).unwrap();
+    let a = esca
+        .run_layer_sharded_with(&qin, &qw, true, LayerOpts::default(), 1)
+        .unwrap();
     let b = esca.run_layer(&qin, &qw, true).unwrap();
     assert!(a.output.same_content(&b.output));
     assert_eq!(a.stats, b.stats);
