@@ -13,7 +13,8 @@ test:
 # The CI gate: offline, lockfile-pinned build + tests + lint-clean, the
 # repository benchmark package (perfbench/) built and tested, plus
 # a smoke run of the matching-reuse engine bench (asserts bit-identity of
-# the flat path and refreshes BENCH_sscn.json) and a seeded smoke chaos
+# the flat path and writes the gitignored BENCH_sscn.smoke.json; the
+# committed full-mode BENCH_sscn.json stays untouched) and a seeded smoke chaos
 # campaign on the resilient streaming path (replayable summary lands in
 # chaos.json). The backend-equivalence suites re-run once per GEMM
 # backend with ESCA_GEMM_BACKEND pinned, so every env-driven default

@@ -26,12 +26,15 @@
 //! one-probe plan replay, bit-identical) and the cycle model (every frame
 //! after the first matching-resident with zero match cycles).
 //!
-//! Results are written machine-readably to `BENCH_sscn.json` in the
-//! working directory and mirrored under `target/esca-reports/`. Modes:
+//! Results are written machine-readably to the working directory and
+//! mirrored under `target/esca-reports/`. Modes:
 //!
-//! * `--smoke` — 64³ only, small reps: the fast CI/verify variant;
+//! * `--smoke` — 64³ only, small reps: the fast CI/verify variant. It
+//!   writes `BENCH_sscn.smoke.json` (gitignored), so a smoke run never
+//!   touches the committed full-mode record;
 //! * `--full` (or no flag) — 64³ **and** the ROADMAP-target 192³
-//!   workload, and gates `blocked` flat-cached vs direct ≥ 4.5× on 192³.
+//!   workload, written to the committed `BENCH_sscn.json`, and gates
+//!   `blocked` flat-cached vs direct ≥ 4.5× on 192³.
 
 // A benchmark binary exists to measure wall-clock; exempt from the
 // workspace-wide `disallowed-methods` wall on `Instant::now` (clippy.toml).
@@ -661,13 +664,19 @@ fn main() {
         microkernel,
     };
 
+    let name = if smoke {
+        "BENCH_sscn.smoke"
+    } else {
+        "BENCH_sscn"
+    };
+    let path = format!("{name}.json");
     std::fs::write(
-        "BENCH_sscn.json",
+        &path,
         serde_json::to_string_pretty(&json).expect("serializable") + "\n",
     )
-    .expect("write BENCH_sscn.json");
-    let mirrored = report::write_json("BENCH_sscn", &json).expect("report dir writable");
-    println!("wrote BENCH_sscn.json (mirrored at {})", mirrored.display());
+    .unwrap_or_else(|e| panic!("write {path}: {e}"));
+    let mirrored = report::write_json(name, &json).expect("report dir writable");
+    println!("wrote {path} (mirrored at {})", mirrored.display());
 
     // The ROADMAP gate: blocked flat-cached ≥ 4.5x over direct on 192³
     // (lifted from 4x once the whole-network plan cache landed).

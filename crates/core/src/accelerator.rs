@@ -12,7 +12,7 @@ use crate::compute::ComputingCore;
 use crate::config::EscaConfig;
 use crate::encode::EncodedFeatureMap;
 use crate::error::EscaError;
-use crate::sdmu::{FetchOutcome, MatchGroupDesc, ScanOutcome, TileSdmu};
+use crate::sdmu::{FetchOutcome, MatchGroupDesc, ScanOutcome, TileSdmu, RUN_AHEAD_JOBS};
 use crate::stats::CycleStats;
 use crate::telemetry::LayerTelemetry;
 use crate::trace::PipelineTrace;
@@ -412,7 +412,7 @@ impl Esca {
                 } else {
                     let (feats, drain) = cc.close_group(cycle, stats, trace);
                     output
-                        .insert(desc.centre, &feats)
+                        .insert(desc.centre, feats)
                         .expect("centre lies in the grid");
                     drain_remaining = drain;
                     tele.drain_cycles += 1;
@@ -456,7 +456,7 @@ impl Esca {
 
             // --- Scan stage (bounded run-ahead keeps the job queue small,
             // like the finite descriptor storage in hardware).
-            if sdmu.jobs_pending() < 4 {
+            if sdmu.jobs_pending() < RUN_AHEAD_JOBS {
                 let scan_trace = if resident {
                     &mut match_trace
                 } else {

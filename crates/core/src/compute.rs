@@ -15,7 +15,7 @@
 use crate::sdmu::MatchEntry;
 use crate::stats::CycleStats;
 use crate::telemetry::LayerTelemetry;
-use crate::trace::{PipelineTrace, Stage};
+use crate::trace::{PipelineTrace, SpanDetail, Stage};
 use esca_sscn::quant::QuantizedWeights;
 use esca_tensor::{requantize_i64, Q16};
 
@@ -30,6 +30,8 @@ pub struct ComputingCore<'w> {
     busy: u64,
     /// Accumulators of the match group in flight (one i64 per OC).
     acc: Vec<i64>,
+    /// The requantized output of the last closed group.
+    out: Vec<Q16>,
     current_group: Option<usize>,
 }
 
@@ -48,6 +50,7 @@ impl<'w> ComputingCore<'w> {
             relu,
             busy: 0,
             acc: vec![0; weights.out_ch()],
+            out: vec![Q16(0); weights.out_ch()],
             current_group: None,
         }
     }
@@ -133,7 +136,10 @@ impl<'w> ComputingCore<'w> {
         trace.record(
             cycle,
             Stage::Compute,
-            format!("match g{} tap{}", m.group, m.tap),
+            SpanDetail::Match {
+                group: m.group,
+                tap: m.tap,
+            },
         );
     }
 
@@ -150,7 +156,8 @@ impl<'w> ComputingCore<'w> {
     /// Closes the open match group: requantizes the accumulators into the
     /// output activation vector and returns it together with the drain
     /// cycle count (one cycle per OC group through the requantize/write
-    /// port).
+    /// port). The vector is the core's output register, valid until the
+    /// next close.
     ///
     /// # Panics
     ///
@@ -160,28 +167,24 @@ impl<'w> ComputingCore<'w> {
         cycle: u64,
         stats: &mut CycleStats,
         trace: &mut PipelineTrace,
-    ) -> (Vec<Q16>, u64) {
+    ) -> (&[Q16], u64) {
         assert!(self.current_group.is_some(), "no group to close");
         assert!(self.is_free(), "closing a group while the array is busy");
         let q = self.weights.quant();
-        let out: Vec<Q16> = self
-            .acc
-            .iter()
-            .map(|&v| {
-                let v = if self.relu { v.max(0) } else { v };
-                requantize_i64(v, q.act, q.weight, q.out)
-            })
-            .collect();
+        for (dst, &v) in self.out.iter_mut().zip(&self.acc) {
+            let v = if self.relu { v.max(0) } else { v };
+            *dst = requantize_i64(v, q.act, q.weight, q.out);
+        }
         let drain = self.weights.out_ch().div_ceil(self.oc_parallel) as u64;
         stats.out_writes += self.weights.out_ch() as u64;
         stats.match_groups += 1;
         trace.record(
             cycle,
             Stage::Drain,
-            format!("group {}", self.current_group.expect("checked above")),
+            SpanDetail::Group(self.current_group.expect("checked above")),
         );
         self.current_group = None;
-        (out, drain)
+        (&self.out, drain)
     }
 }
 

@@ -11,17 +11,6 @@
 
 use esca_tensor::{Coord3, KernelOffsets, OccupancyMask};
 
-/// One judged SRF slice: the K² incoming/outgoing mask bits plus the
-/// centre verdict.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct JudgedSlice {
-    /// Per column: (bit entering the window at z + r, bit leaving past
-    /// z − r − 1) — exactly the state-index generator's step inputs.
-    pub column_bits: Vec<(bool, bool)>,
-    /// Whether the SRF centre is active (the judge-state verdict).
-    pub centre_active: bool,
-}
-
 /// The mask judger: stateless combinational logic over the mask buffer,
 /// parameterized by the kernel geometry.
 #[derive(Debug, Clone)]
@@ -46,25 +35,33 @@ impl MaskJudger {
         self.offsets.columns()
     }
 
-    /// Judges the SRF centred at `centre`: reads the K² incoming bits at
-    /// the window trailing edge and the K² outgoing bits past the leading
-    /// edge, plus the centre bit. Out-of-grid reads are 0 (the zero halo).
-    pub fn judge(&self, mask: &OccupancyMask, centre: Coord3) -> JudgedSlice {
+    /// Judges the SRF centred at `centre`: writes, per column, the bit
+    /// entering the window at the trailing edge `z + r` and the bit
+    /// leaving past the leading edge `z − r − 1` into `column_bits` —
+    /// exactly the state-index generator's step inputs — and returns the
+    /// judge-state verdict (whether the centre is active). Out-of-grid
+    /// reads are 0 (the zero halo).
+    ///
+    /// # Panics
+    ///
+    /// Panics if `column_bits.len() != columns()`.
+    pub fn judge(
+        &self,
+        mask: &OccupancyMask,
+        centre: Coord3,
+        column_bits: &mut [(bool, bool)],
+    ) -> bool {
+        assert_eq!(column_bits.len(), self.columns(), "one bit pair per column");
         let r = self.offsets.radius();
-        let column_bits = (0..self.offsets.columns())
-            .map(|col| {
-                let (dx, dy) = self.offsets.column_offset(col);
-                let m_in =
-                    mask.get_or_empty(Coord3::new(centre.x + dx, centre.y + dy, centre.z + r));
-                let m_out =
-                    mask.get_or_empty(Coord3::new(centre.x + dx, centre.y + dy, centre.z - r - 1));
-                (m_in, m_out)
-            })
-            .collect();
-        JudgedSlice {
-            column_bits,
-            centre_active: mask.get_or_empty(centre),
+        for (col, bits) in column_bits.iter_mut().enumerate() {
+            let (dx, dy) = self.offsets.column_offset(col);
+            let (x, y) = (centre.x + dx, centre.y + dy);
+            *bits = (
+                mask.get_or_empty(Coord3::new(x, y, centre.z + r)),
+                mask.get_or_empty(Coord3::new(x, y, centre.z - r - 1)),
+            );
         }
+        mask.get_or_empty(centre)
     }
 }
 
@@ -72,6 +69,21 @@ impl MaskJudger {
 mod tests {
     use super::*;
     use esca_tensor::Extent3;
+
+    /// One judged SRF slice, as the tests inspect it.
+    struct Judged {
+        column_bits: Vec<(bool, bool)>,
+        centre_active: bool,
+    }
+
+    fn judge(j: &MaskJudger, mask: &OccupancyMask, centre: Coord3) -> Judged {
+        let mut column_bits = vec![(false, false); j.columns()];
+        let centre_active = j.judge(mask, centre, &mut column_bits);
+        Judged {
+            column_bits,
+            centre_active,
+        }
+    }
 
     fn mask_with(coords: &[(i32, i32, i32)]) -> OccupancyMask {
         let mut m = OccupancyMask::new(Extent3::cube(8));
@@ -85,8 +97,8 @@ mod tests {
     fn centre_verdict_follows_the_mask() {
         let m = mask_with(&[(3, 3, 3)]);
         let j = MaskJudger::new(3);
-        assert!(j.judge(&m, Coord3::new(3, 3, 3)).centre_active);
-        assert!(!j.judge(&m, Coord3::new(3, 3, 4)).centre_active);
+        assert!(judge(&j, &m, Coord3::new(3, 3, 3)).centre_active);
+        assert!(!judge(&j, &m, Coord3::new(3, 3, 4)).centre_active);
         assert_eq!(j.columns(), 9);
     }
 
@@ -96,7 +108,7 @@ mod tests {
         // trailing edge z + 1 = 4 reads it through the centre column.
         let m = mask_with(&[(3, 3, 4)]);
         let j = MaskJudger::new(3);
-        let s = j.judge(&m, Coord3::new(3, 3, 3));
+        let s = judge(&j, &m, Coord3::new(3, 3, 3));
         let centre_col = 4; // (dx, dy) = (0, 0) for K = 3
         assert!(s.column_bits[centre_col].0);
         assert!(!s.column_bits[centre_col].1);
@@ -108,7 +120,7 @@ mod tests {
         // (leading edge covers z − 1 = 2; z = 1 is one behind).
         let m = mask_with(&[(3, 3, 1)]);
         let j = MaskJudger::new(3);
-        let s = j.judge(&m, Coord3::new(3, 3, 3));
+        let s = judge(&j, &m, Coord3::new(3, 3, 3));
         assert!(s.column_bits[4].1);
         assert!(!s.column_bits[4].0);
     }
@@ -117,7 +129,7 @@ mod tests {
     fn halo_reads_are_zero() {
         let m = mask_with(&[]);
         let j = MaskJudger::new(3);
-        let s = j.judge(&m, Coord3::new(0, 0, 0));
+        let s = judge(&j, &m, Coord3::new(0, 0, 0));
         assert!(!s.centre_active);
         assert!(s.column_bits.iter().all(|&(a, b)| !a && !b));
     }
@@ -126,7 +138,7 @@ mod tests {
     fn off_centre_columns_map_to_their_lines() {
         let m = mask_with(&[(2, 4, 4)]); // dx = -1, dy = +1 from centre (3,3,3)
         let j = MaskJudger::new(3);
-        let s = j.judge(&m, Coord3::new(3, 3, 3));
+        let s = judge(&j, &m, Coord3::new(3, 3, 3));
         let col = KernelOffsets::new(3)
             .column_index(Coord3::new(-1, 1, 0))
             .unwrap();
@@ -144,7 +156,7 @@ mod tests {
         let j = MaskJudger::new(5);
         assert_eq!(j.columns(), 25);
         let m = mask_with(&[(3, 3, 5)]); // within radius-2 trailing edge of z=3
-        let s = j.judge(&m, Coord3::new(3, 3, 3));
+        let s = judge(&j, &m, Coord3::new(3, 3, 3));
         assert!(s.column_bits[12].0); // centre column of a 5×5 cross-section
     }
 }

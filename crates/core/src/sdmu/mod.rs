@@ -20,7 +20,7 @@ pub mod mask_judger;
 pub mod state_index;
 
 use crate::encode::EncodedFeatureMap;
-use crate::trace::{PipelineTrace, Stage};
+use crate::trace::{PipelineTrace, SpanDetail, Stage};
 use esca_tensor::{Coord3, Extent3, KernelOffsets, TileInfo, TileShape};
 use fifo::FifoGroup;
 use mask_judger::MaskJudger;
@@ -78,13 +78,21 @@ pub enum FetchOutcome {
     Stalled,
 }
 
+/// Pending fetch jobs the scan stage may run ahead of the fetch stage —
+/// the finite descriptor storage of the hardware. The main controller
+/// stops scanning while this many jobs are pending, so the per-tile job
+/// storage is sized once and never grows in the cycle loop.
+pub const RUN_AHEAD_JOBS: usize = 4;
+
 /// A pending fetch job: the address fragments of one active SRF.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Copy)]
 struct FetchJob {
     group: usize,
     centre: Coord3,
-    /// Per column: the remaining global entry range to push.
-    remaining: Vec<Range<usize>>,
+    /// Slot in [`TileSdmu::fragments`] holding the per-column ranges.
+    slot: usize,
+    /// Entries still to push, over all columns.
+    left: usize,
 }
 
 /// The per-tile SDMU state machine.
@@ -93,14 +101,23 @@ pub struct TileSdmu<'a> {
     enc: &'a EncodedFeatureMap,
     offsets: KernelOffsets,
     judger: MaskJudger,
-    /// Scan order: all sites of the tile, (x, y) line-major, z fastest.
-    sites: Vec<Coord3>,
-    scan_pos: usize,
+    /// Scan order: every site of the box `[lo, hi]`, (x, y) line-major,
+    /// z fastest; `pos` is the next site to scan.
+    lo: Coord3,
+    hi: Coord3,
+    pos: Coord3,
+    scan_done: bool,
     fill_remaining: u64,
     pipeline_fill: u64,
     line_start: bool,
+    /// The K² (in, out) mask bits of the slice judged this cycle.
+    column_bits: Vec<(bool, bool)>,
     state_index: StateIndexGen,
     jobs: VecDeque<FetchJob>,
+    /// Per job slot, per column: the remaining global entry range to
+    /// push (slot-major, K² ranges per slot).
+    fragments: Vec<Range<usize>>,
+    free_slots: Vec<usize>,
     /// The K² match FIFOs.
     pub fifos: FifoGroup,
     next_group: usize,
@@ -127,28 +144,23 @@ impl<'a> TileSdmu<'a> {
         first_group: usize,
     ) -> Self {
         let offsets = KernelOffsets::new(kernel);
-        let hi = tile.max_corner(shape, extent);
-        let mut sites =
-            Vec::with_capacity(((hi.x - tile.origin.x + 1) * (hi.y - tile.origin.y + 1)) as usize);
-        for x in tile.origin.x..=hi.x {
-            for y in tile.origin.y..=hi.y {
-                for z in tile.origin.z..=hi.z {
-                    sites.push(Coord3::new(x, y, z));
-                }
-            }
-        }
         let columns = offsets.columns();
         TileSdmu {
             enc,
             offsets,
             judger: MaskJudger::new(kernel),
-            sites,
-            scan_pos: 0,
+            lo: tile.origin,
+            hi: tile.max_corner(shape, extent),
+            pos: tile.origin,
+            scan_done: false,
             fill_remaining: 0,
             pipeline_fill,
             line_start: true,
+            column_bits: vec![(false, false); columns],
             state_index: StateIndexGen::new(columns),
-            jobs: VecDeque::new(),
+            jobs: VecDeque::with_capacity(RUN_AHEAD_JOBS),
+            fragments: vec![0..0; RUN_AHEAD_JOBS * columns],
+            free_slots: (0..RUN_AHEAD_JOBS).rev().collect(),
             fifos: FifoGroup::new(columns, fifo_depth),
             next_group: first_group,
             mask_bits_read: 0,
@@ -158,11 +170,13 @@ impl<'a> TileSdmu<'a> {
     }
 
     /// Whether every site of the tile has been scanned.
+    #[inline]
     pub fn scan_done(&self) -> bool {
-        self.scan_pos >= self.sites.len()
+        self.scan_done
     }
 
     /// Pending fetch jobs.
+    #[inline]
     pub fn jobs_pending(&self) -> usize {
         self.jobs.len()
     }
@@ -190,10 +204,10 @@ impl<'a> TileSdmu<'a> {
     /// One scan-stage cycle: read masks, judge, generate state index, and
     /// (for active centres) enqueue the fetch job.
     pub fn scan_step(&mut self, cycle: u64, trace: &mut PipelineTrace) -> ScanOutcome {
-        if self.scan_done() {
+        if self.scan_done {
             return ScanOutcome::Done;
         }
-        let centre = self.sites[self.scan_pos];
+        let centre = self.pos;
         let r = self.offsets.radius();
 
         // New (x, y) line: preload the column accumulators (the hardware
@@ -212,7 +226,10 @@ impl<'a> TileSdmu<'a> {
                 trace.record(
                     cycle,
                     Stage::ReadMasks,
-                    format!("fill line ({}, {})", centre.x, centre.y),
+                    SpanDetail::FillLine {
+                        x: centre.x,
+                        y: centre.y,
+                    },
                 );
                 if self.fill_remaining == 0 {
                     self.line_start = false;
@@ -223,19 +240,27 @@ impl<'a> TileSdmu<'a> {
 
         // Read masks + judge: one new z-slice of K² bits enters the SRF
         // window, and the centre verdict decides whether to match.
-        let slice = self.judger.judge(self.enc.mask(), centre);
-        self.state_index.step(&slice.column_bits);
+        let centre_active = self
+            .judger
+            .judge(self.enc.mask(), centre, &mut self.column_bits);
+        self.state_index.step(&self.column_bits);
         self.mask_bits_read += self.offsets.columns() as u64;
         self.scanned += 1;
-        trace.record(cycle, Stage::ReadMasks, format!("srf {centre}"));
-        trace.record(cycle, Stage::JudgeState, format!("srf {centre}"));
+        let srf = SpanDetail::Srf(centre);
+        trace.record(cycle, Stage::ReadMasks, srf);
+        trace.record(cycle, Stage::JudgeState, srf);
 
-        let centre_active = slice.centre_active;
         let outcome = if centre_active {
-            trace.record(cycle, Stage::GenStateIndex, format!("srf {centre}"));
-            let mut remaining = Vec::with_capacity(self.offsets.columns());
+            trace.record(cycle, Stage::GenStateIndex, srf);
+            let columns = self.offsets.columns();
+            let slot = self.free_slots.pop().unwrap_or_else(|| {
+                // Only a caller that ignores `RUN_AHEAD_JOBS` gets here.
+                self.fragments.resize(self.fragments.len() + columns, 0..0);
+                self.fragments.len() / columns - 1
+            });
+            let fragments = &mut self.fragments[slot * columns..(slot + 1) * columns];
             let mut total = 0usize;
-            for col in 0..self.offsets.columns() {
+            for (col, fragment) in fragments.iter_mut().enumerate() {
                 let (dx, dy) = self.offsets.column_offset(col);
                 let w = self.enc.lines().window(
                     centre.x + dx,
@@ -258,7 +283,7 @@ impl<'a> TileSdmu<'a> {
                     "state index A disagrees with CSR prefix at {centre} col {col}"
                 );
                 total += w.len();
-                remaining.push(w.global_range());
+                *fragment = w.global_range();
             }
             let desc = MatchGroupDesc {
                 group: self.next_group,
@@ -268,7 +293,8 @@ impl<'a> TileSdmu<'a> {
             self.jobs.push_back(FetchJob {
                 group: self.next_group,
                 centre,
-                remaining,
+                slot,
+                left: total,
             });
             self.next_group += 1;
             ScanOutcome::Scanned(Some(desc))
@@ -276,10 +302,17 @@ impl<'a> TileSdmu<'a> {
             ScanOutcome::Scanned(None)
         };
 
-        // Advance; detect line change.
-        self.scan_pos += 1;
-        if let Some(next) = self.sites.get(self.scan_pos) {
-            if next.x != centre.x || next.y != centre.y {
+        // Advance (z fastest, then y, then x); a wrapped z starts a line.
+        self.pos.z += 1;
+        if self.pos.z > self.hi.z {
+            self.pos.z = self.lo.z;
+            self.pos.y += 1;
+            if self.pos.y > self.hi.y {
+                self.pos.y = self.lo.y;
+                self.pos.x += 1;
+            }
+            self.scan_done = self.pos.x > self.hi.x;
+            if !self.scan_done {
                 self.line_start = true;
                 self.state_index.reset();
             }
@@ -310,10 +343,11 @@ impl<'a> TileSdmu<'a> {
         let Some(job) = self.jobs.front_mut() else {
             return FetchOutcome::Idle;
         };
+        let columns = self.fifos.columns();
+        let fragments = &mut self.fragments[job.slot * columns..(job.slot + 1) * columns];
         let mut pushes = 0u32;
         let mut blocked = false;
-        for col in 0..self.fifos.columns() {
-            let range = &mut job.remaining[col];
+        for (col, range) in fragments.iter_mut().enumerate() {
             if range.start >= range.end {
                 continue;
             }
@@ -338,14 +372,12 @@ impl<'a> TileSdmu<'a> {
             self.act_reads += 1;
             pushes += 1;
         }
+        job.left -= pushes as usize;
         if pushes > 0 {
-            trace.record(
-                cycle,
-                Stage::FetchActivations,
-                format!("group {}", job.group),
-            );
+            trace.record(cycle, Stage::FetchActivations, SpanDetail::Group(job.group));
         }
-        if job.remaining.iter().all(|r| r.start >= r.end) {
+        if job.left == 0 {
+            self.free_slots.push(job.slot);
             self.jobs.pop_front();
             return FetchOutcome::Progress { pushes };
         }

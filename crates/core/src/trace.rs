@@ -7,8 +7,16 @@
 //! `examples/pipeline_trace.rs` renders them as a Gantt-style text chart,
 //! and [`PipelineTrace::to_chrome_trace`] exports Chrome trace-event /
 //! Perfetto JSON for standard tooling.
+//!
+//! A span's detail is a [`SpanDetail`]: a small `Copy` value holding the
+//! structured ids of the work item (line, SRF centre, match group, kernel
+//! tap). It is formatted to text only at export — by
+//! [`PipelineTrace::to_chrome_trace`] or its `Display` impl — so the
+//! simulator's per-cycle path never allocates for tracing, and a disabled
+//! trace costs one branch per call.
 
 use esca_telemetry::ChromeTrace;
+use esca_tensor::Coord3;
 use serde::{Deserialize, Serialize};
 use std::fmt;
 
@@ -73,6 +81,90 @@ impl fmt::Display for Stage {
     }
 }
 
+/// The work item a span belongs to, as structured ids. `Display` gives the
+/// exported text (`fill line (x, y)`, `srf (x, y, z)`, `group N`,
+/// `match gN tapM`).
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+pub enum SpanDetail {
+    /// Pipeline fill at the start of the `(x, y)` line.
+    FillLine {
+        /// Line x.
+        x: i32,
+        /// Line y.
+        y: i32,
+    },
+    /// The sparse receptive field centred at a site.
+    Srf(Coord3),
+    /// A match group (one active centre).
+    Group(usize),
+    /// One match of a group, at a kernel tap.
+    Match {
+        /// Match-group ordinal.
+        group: usize,
+        /// Kernel tap index.
+        tap: usize,
+    },
+}
+
+impl fmt::Display for SpanDetail {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self {
+            SpanDetail::FillLine { x, y } => write!(f, "fill line ({x}, {y})"),
+            SpanDetail::Srf(c) => write!(f, "srf {c}"),
+            SpanDetail::Group(g) => write!(f, "group {g}"),
+            SpanDetail::Match { group, tap } => write!(f, "match g{group} tap{tap}"),
+        }
+    }
+}
+
+impl SpanDetail {
+    /// Parses the `Display` text back (`None` for anything else).
+    fn parse(text: &str) -> Option<Self> {
+        /// `(a, b, ..)` with exactly `N` integers.
+        fn tuple<const N: usize>(text: &str) -> Option<[i32; N]> {
+            let mut parts = text.strip_prefix('(')?.strip_suffix(')')?.split(", ");
+            let mut out = [0; N];
+            for v in &mut out {
+                *v = parts.next()?.parse().ok()?;
+            }
+            parts.next().is_none().then_some(out)
+        }
+        if let Some(rest) = text.strip_prefix("fill line ") {
+            let [x, y] = tuple(rest)?;
+            Some(SpanDetail::FillLine { x, y })
+        } else if let Some(rest) = text.strip_prefix("srf ") {
+            let [x, y, z] = tuple(rest)?;
+            Some(SpanDetail::Srf(Coord3::new(x, y, z)))
+        } else if let Some(rest) = text.strip_prefix("group ") {
+            Some(SpanDetail::Group(rest.parse().ok()?))
+        } else {
+            let (group, tap) = text.strip_prefix("match g")?.split_once(" tap")?;
+            Some(SpanDetail::Match {
+                group: group.parse().ok()?,
+                tap: tap.parse().ok()?,
+            })
+        }
+    }
+}
+
+// Manual impls: the vendored serde derive handles unit variants only, and
+// the exported text is the JSON shape trace consumers already read.
+impl Serialize for SpanDetail {
+    fn to_content(&self) -> serde::Content {
+        serde::Content::Str(self.to_string())
+    }
+}
+
+impl Deserialize for SpanDetail {
+    fn from_content(content: &serde::Content) -> Result<Self, serde::Error> {
+        let text = content
+            .as_str()
+            .ok_or_else(|| serde::Error::custom("expected a span detail string"))?;
+        SpanDetail::parse(text)
+            .ok_or_else(|| serde::Error::custom(format!("malformed span detail {text:?}")))
+    }
+}
+
 /// One structured pipeline span: a stage busy for the half-open cycle
 /// range `[cycle_start, cycle_end)` on one piece of work.
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
@@ -83,8 +175,8 @@ pub struct TraceSpan {
     pub cycle_start: u64,
     /// One past the last busy cycle.
     pub cycle_end: u64,
-    /// Short detail attribute (e.g. the SRF centre or match id).
-    pub detail: String,
+    /// The work item (e.g. the SRF centre or match id).
+    pub detail: SpanDetail,
 }
 
 impl TraceSpan {
@@ -128,11 +220,17 @@ impl PipelineTrace {
     /// Contiguous recordings with the same stage *and* detail extend the
     /// previous span; anything else opens a new span, so per-work-item
     /// details (one per match, group or SRF) keep a 1:1 span mapping.
-    pub fn record(&mut self, cycle: u64, stage: Stage, detail: impl Into<String>) {
-        if !self.enabled {
-            return;
+    #[inline]
+    pub fn record(&mut self, cycle: u64, stage: Stage, detail: SpanDetail) {
+        if self.enabled {
+            self.push(cycle, stage, detail);
         }
-        let detail = detail.into();
+    }
+
+    /// The enabled half of [`PipelineTrace::record`], kept out of line so
+    /// the disabled check inlines into the simulator loop on its own.
+    #[inline(never)]
+    fn push(&mut self, cycle: u64, stage: Stage, detail: SpanDetail) {
         let coalesced = self
             .spans
             .iter_mut()
@@ -212,7 +310,7 @@ impl PipelineTrace {
                 s.cycles(),
                 pid,
                 s.stage.lane(),
-                &s.detail,
+                &s.detail.to_string(),
             );
         }
         trace
@@ -224,17 +322,41 @@ mod tests {
     use super::*;
 
     #[test]
+    fn span_details_format_as_the_exported_text() {
+        let cases = [
+            (SpanDetail::FillLine { x: 8, y: -1 }, "fill line (8, -1)"),
+            (SpanDetail::Srf(Coord3::new(1, 2, 3)), "srf (1, 2, 3)"),
+            (SpanDetail::Group(17), "group 17"),
+            (SpanDetail::Match { group: 4, tap: 13 }, "match g4 tap13"),
+        ];
+        for (detail, text) in cases {
+            assert_eq!(detail.to_string(), text);
+            assert_eq!(SpanDetail::parse(text), Some(detail));
+        }
+        for bad in [
+            "",
+            "group",
+            "group x",
+            "srf (1, 2)",
+            "fill line (1, 2, 3)",
+            "match g1",
+        ] {
+            assert_eq!(SpanDetail::parse(bad), None, "{bad:?}");
+        }
+    }
+
+    #[test]
     fn disabled_trace_records_nothing() {
         let mut t = PipelineTrace::new(false);
-        t.record(0, Stage::Compute, "x");
+        t.record(0, Stage::Compute, SpanDetail::Group(0));
         assert!(t.spans().is_empty());
     }
 
     #[test]
     fn enabled_trace_records_in_order() {
         let mut t = PipelineTrace::new(true);
-        t.record(0, Stage::ReadMasks, "srf0");
-        t.record(1, Stage::JudgeState, "srf0");
+        t.record(0, Stage::ReadMasks, SpanDetail::Srf(Coord3::new(0, 0, 0)));
+        t.record(1, Stage::JudgeState, SpanDetail::Srf(Coord3::new(0, 0, 0)));
         assert_eq!(t.spans().len(), 2);
         assert_eq!(t.spans()[0].stage, Stage::ReadMasks);
     }
@@ -242,14 +364,15 @@ mod tests {
     #[test]
     fn contiguous_same_detail_cycles_coalesce() {
         let mut t = PipelineTrace::new(true);
-        t.record(3, Stage::ReadMasks, "fill line (1, 2)");
-        t.record(4, Stage::ReadMasks, "fill line (1, 2)");
+        let fill = SpanDetail::FillLine { x: 1, y: 2 };
+        t.record(3, Stage::ReadMasks, fill);
+        t.record(4, Stage::ReadMasks, fill);
         // Interleaved other-stage activity must not break coalescing.
-        t.record(4, Stage::Compute, "match g0 tap0");
-        t.record(5, Stage::ReadMasks, "fill line (1, 2)");
+        t.record(4, Stage::Compute, SpanDetail::Match { group: 0, tap: 0 });
+        t.record(5, Stage::ReadMasks, fill);
         // A gap or a new detail opens a fresh span.
-        t.record(7, Stage::ReadMasks, "fill line (1, 2)");
-        t.record(8, Stage::ReadMasks, "srf (0, 0, 0)");
+        t.record(7, Stage::ReadMasks, fill);
+        t.record(8, Stage::ReadMasks, SpanDetail::Srf(Coord3::new(0, 0, 0)));
         let masks: Vec<&TraceSpan> = t
             .spans()
             .iter()
@@ -264,8 +387,8 @@ mod tests {
     #[test]
     fn render_marks_busy_cycles() {
         let mut t = PipelineTrace::new(true);
-        t.record(0, Stage::ReadMasks, "a");
-        t.record(2, Stage::Compute, "b");
+        t.record(0, Stage::ReadMasks, SpanDetail::Group(0));
+        t.record(2, Stage::Compute, SpanDetail::Group(1));
         let chart = t.render(10);
         let lines: Vec<&str> = chart.lines().collect();
         assert!(lines[0].contains("read masks"));
@@ -277,7 +400,7 @@ mod tests {
     #[test]
     fn render_clips_to_max_cycles() {
         let mut t = PipelineTrace::new(true);
-        t.record(100, Stage::Drain, "late");
+        t.record(100, Stage::Drain, SpanDetail::Group(0));
         let chart = t.render(5);
         // Horizon clipped to 5 columns.
         assert!(chart.lines().next().unwrap().ends_with("....."));
@@ -286,11 +409,14 @@ mod tests {
     #[test]
     fn chrome_export_is_one_event_per_span() {
         let mut t = PipelineTrace::new(true);
-        t.record(0, Stage::ReadMasks, "a");
-        t.record(1, Stage::ReadMasks, "a");
-        t.record(5, Stage::Drain, "group 0");
+        let srf = SpanDetail::Srf(Coord3::new(1, 2, 3));
+        t.record(0, Stage::ReadMasks, srf);
+        t.record(1, Stage::ReadMasks, srf);
+        t.record(5, Stage::Drain, SpanDetail::Group(0));
         let trace = t.to_chrome_trace(1);
         assert_eq!(trace.len(), 2);
+        assert_eq!(trace.traceEvents[0].args.detail, "srf (1, 2, 3)");
+        assert_eq!(trace.traceEvents[1].args.detail, "group 0");
         assert_eq!(trace.traceEvents[0].ts, 0);
         assert_eq!(trace.traceEvents[0].dur, 2);
         assert_eq!(trace.traceEvents[0].tid, Stage::ReadMasks.lane());

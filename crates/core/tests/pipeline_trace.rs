@@ -60,8 +60,14 @@ fn digest() -> String {
     cfg.tile = TileShape::cube(8);
     cfg.record_trace = true;
     let run = Esca::new(cfg).unwrap().run_layer(&qin, &qw, true).unwrap();
-    assert!(run.stats.active_tiles > 1, "fixture must span several tiles");
-    assert!(run.stats.stall_cycles > 0, "fixture must exercise backpressure");
+    assert!(
+        run.stats.active_tiles > 1,
+        "fixture must span several tiles"
+    );
+    assert!(
+        run.stats.stall_cycles > 0,
+        "fixture must exercise backpressure"
+    );
 
     let lines = |items: Vec<String>| items.join(",\n    ");
     let chrome = run.trace.to_chrome_trace(1);

@@ -4,8 +4,9 @@
 
 use esca::area::ResourceEstimate;
 use esca::power::{PowerModel, PowerReport};
-use esca::trace::{PipelineTrace, Stage};
+use esca::trace::{PipelineTrace, SpanDetail, Stage};
 use esca::{CycleStats, EscaConfig};
+use esca_tensor::Coord3;
 
 #[test]
 fn config_roundtrip() {
@@ -71,10 +72,13 @@ fn power_model_and_report_roundtrip() {
 #[test]
 fn trace_roundtrip() {
     let mut t = PipelineTrace::new(true);
-    t.record(0, Stage::ReadMasks, "a");
-    t.record(3, Stage::Compute, "b");
+    t.record(0, Stage::ReadMasks, SpanDetail::FillLine { x: 1, y: -2 });
+    t.record(1, Stage::JudgeState, SpanDetail::Srf(Coord3::new(3, 4, 5)));
+    t.record(3, Stage::Compute, SpanDetail::Match { group: 12, tap: 26 });
+    t.record(4, Stage::Drain, SpanDetail::Group(12));
     let json = serde_json::to_string(&t).unwrap();
     let back: PipelineTrace = serde_json::from_str(&json).unwrap();
+    assert_eq!(t.spans().len(), 4);
     assert_eq!(t.spans(), back.spans());
 }
 

@@ -5,7 +5,7 @@
 //! span counts 1:1 with the work items even though contiguous same-detail
 //! cycles coalesce.
 
-use esca::trace::Stage;
+use esca::trace::{SpanDetail, Stage};
 use esca::{Esca, EscaConfig};
 use esca_sscn::quant::{quantize_tensor, QuantizedWeights};
 use esca_sscn::weights::ConvWeights;
@@ -74,29 +74,44 @@ fn causal_ordering_within_each_group() {
     // For every match group g: its first fetch is not before its state
     // index, its first compute not before its first fetch, and its drain
     // not before its last compute (per-tile cycle counters restart at 0,
-    // so compare within the same group's spans only).
+    // so compare within the same group's spans only). Groups are numbered
+    // in scan order, so the N-th state-index span belongs to group N.
     let run = traced_run();
     let spans = run.trace.spans();
-    for g in 0..run.stats.match_groups {
-        let label = format!("group {g}");
-        let first = |stage: Stage| {
-            spans
-                .iter()
-                .filter(|s| s.stage == stage && s.detail.contains(&label))
-                .map(|s| s.cycle_start)
-                .min()
+    let state_index: Vec<u64> = spans
+        .iter()
+        .filter(|s| s.stage == Stage::GenStateIndex)
+        .map(|s| s.cycle_start)
+        .collect();
+    assert_eq!(state_index.len() as u64, run.stats.match_groups);
+    for (g, &state_index) in state_index.iter().enumerate() {
+        let of_group = |stage: Stage| {
+            spans.iter().filter(move |s| {
+                s.stage == stage
+                    && match s.detail {
+                        SpanDetail::Group(d) | SpanDetail::Match { group: d, .. } => d == g,
+                        SpanDetail::FillLine { .. } | SpanDetail::Srf(_) => false,
+                    }
+            })
         };
-        let last_compute = spans
-            .iter()
-            .filter(|s| s.stage == Stage::Compute && s.detail.contains(&format!("g{g} ")))
+        let first_fetch = of_group(Stage::FetchActivations)
             .map(|s| s.cycle_start)
-            .max();
-        if let (Some(fetch), Some(drain)) = (first(Stage::FetchActivations), first(Stage::Drain)) {
-            assert!(fetch <= drain, "group {g}: fetch after drain");
-        }
-        if let (Some(compute), Some(drain)) = (last_compute, first(Stage::Drain)) {
-            assert!(compute <= drain, "group {g}: compute after drain");
-        }
+            .min();
+        let first_compute = of_group(Stage::Compute).map(|s| s.cycle_start).min();
+        let last_compute = of_group(Stage::Compute).map(|s| s.cycle_start).max();
+        let drain: Vec<u64> = of_group(Stage::Drain).map(|s| s.cycle_start).collect();
+        let (Some(fetch), Some(first_compute), Some(last_compute), &[drain]) =
+            (first_fetch, first_compute, last_compute, drain.as_slice())
+        else {
+            panic!("group {g}: missing fetch, compute or a single drain span");
+        };
+        assert!(
+            state_index <= fetch,
+            "group {g}: fetch before its state index"
+        );
+        assert!(fetch <= first_compute, "group {g}: compute before fetch");
+        assert!(fetch <= drain, "group {g}: fetch after drain");
+        assert!(last_compute <= drain, "group {g}: compute after drain");
     }
 }
 

@@ -324,11 +324,13 @@ impl KernelOffsets {
     /// # Panics
     ///
     /// Panics if `col >= K²`.
+    #[inline]
     pub fn column_offset(&self, col: usize) -> (i32, i32) {
         assert!(col < self.columns(), "column index out of range");
-        let k = self.k as usize;
-        let r = self.radius();
-        ((col / k) as i32 - r, (col % k) as i32 - r)
+        // The column's first tap (dz = −r) carries its (dx, dy); a table
+        // read keeps the per-cycle SDMU loops free of integer division.
+        let first = self.offsets[col * self.k as usize];
+        (first.x, first.y)
     }
 }
 
