@@ -102,11 +102,10 @@ pub struct TileSdmu<'a> {
     offsets: KernelOffsets,
     judger: MaskJudger,
     /// Scan order: every site of the box `[lo, hi]`, (x, y) line-major,
-    /// z fastest; `pos` is the next site to scan.
+    /// z fastest; `pos` is the next site to scan (past `hi.x` when done).
     lo: Coord3,
     hi: Coord3,
     pos: Coord3,
-    scan_done: bool,
     fill_remaining: u64,
     pipeline_fill: u64,
     line_start: bool,
@@ -152,7 +151,6 @@ impl<'a> TileSdmu<'a> {
             lo: tile.origin,
             hi: tile.max_corner(shape, extent),
             pos: tile.origin,
-            scan_done: false,
             fill_remaining: 0,
             pipeline_fill,
             line_start: true,
@@ -170,13 +168,11 @@ impl<'a> TileSdmu<'a> {
     }
 
     /// Whether every site of the tile has been scanned.
-    #[inline]
     pub fn scan_done(&self) -> bool {
-        self.scan_done
+        self.pos.x > self.hi.x
     }
 
     /// Pending fetch jobs.
-    #[inline]
     pub fn jobs_pending(&self) -> usize {
         self.jobs.len()
     }
@@ -204,7 +200,7 @@ impl<'a> TileSdmu<'a> {
     /// One scan-stage cycle: read masks, judge, generate state index, and
     /// (for active centres) enqueue the fetch job.
     pub fn scan_step(&mut self, cycle: u64, trace: &mut PipelineTrace) -> ScanOutcome {
-        if self.scan_done {
+        if self.scan_done() {
             return ScanOutcome::Done;
         }
         let centre = self.pos;
@@ -311,8 +307,7 @@ impl<'a> TileSdmu<'a> {
                 self.pos.y = self.lo.y;
                 self.pos.x += 1;
             }
-            self.scan_done = self.pos.x > self.hi.x;
-            if !self.scan_done {
+            if !self.scan_done() {
                 self.line_start = true;
                 self.state_index.reset();
             }

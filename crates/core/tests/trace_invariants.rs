@@ -84,7 +84,7 @@ fn causal_ordering_within_each_group() {
         .map(|s| s.cycle_start)
         .collect();
     assert_eq!(state_index.len() as u64, run.stats.match_groups);
-    for (g, &state_index) in state_index.iter().enumerate() {
+    for (g, &indexed) in state_index.iter().enumerate() {
         let of_group = |stage: Stage| {
             spans.iter().filter(move |s| {
                 s.stage == stage
@@ -105,10 +105,7 @@ fn causal_ordering_within_each_group() {
         else {
             panic!("group {g}: missing fetch, compute or a single drain span");
         };
-        assert!(
-            state_index <= fetch,
-            "group {g}: fetch before its state index"
-        );
+        assert!(indexed <= fetch, "group {g}: fetch before its state index");
         assert!(fetch <= first_compute, "group {g}: compute before fetch");
         assert!(fetch <= drain, "group {g}: fetch after drain");
         assert!(last_compute <= drain, "group {g}: compute after drain");
