@@ -50,7 +50,14 @@ pub struct WorkerPool {
     panicked: Arc<AtomicU64>,
     rejected: AtomicU64,
     undelivered: Arc<AtomicU64>,
+    /// Jobs the workers have finished, counted once a job and everything
+    /// it captured are dropped and the worker heads back to the queue.
+    finished: Arc<AtomicU64>,
 }
+
+/// How long [`WorkerPool::map`] sleeps between checks while the last
+/// workers of a batch finish up.
+const SETTLE_POLL: Duration = Duration::from_micros(20);
 
 impl std::fmt::Debug for WorkerPool {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
@@ -68,10 +75,12 @@ impl WorkerPool {
         let workers = workers.max(1);
         let (tx, rx) = channel::unbounded::<Job>();
         let panicked = Arc::new(AtomicU64::new(0));
+        let finished = Arc::new(AtomicU64::new(0));
         let handles = (0..workers)
             .map(|worker| {
                 let rx = rx.clone();
                 let panicked = Arc::clone(&panicked);
+                let finished = Arc::clone(&finished);
                 std::thread::spawn(move || {
                     while let Ok(job) = rx.recv() {
                         // The closure owns the boxed job and any state it
@@ -82,6 +91,7 @@ impl WorkerPool {
                         if std::panic::catch_unwind(run).is_err() {
                             panicked.fetch_add(1, Ordering::Relaxed);
                         }
+                        finished.fetch_add(1, Ordering::Release);
                     }
                 })
             })
@@ -92,6 +102,7 @@ impl WorkerPool {
             panicked,
             rejected: AtomicU64::new(0),
             undelivered: Arc::new(AtomicU64::new(0)),
+            finished,
         }
     }
 
@@ -109,6 +120,12 @@ impl WorkerPool {
     /// was disconnected.
     pub fn rejected_jobs(&self) -> u64 {
         self.rejected.load(Ordering::Relaxed)
+    }
+
+    /// Jobs the workers have finished, panicked ones included: a job
+    /// counts once it and everything it captured are dropped.
+    pub fn finished_jobs(&self) -> u64 {
+        self.finished.load(Ordering::Acquire)
     }
 
     /// Enqueues a job; it runs on the first free worker, which passes its
@@ -146,6 +163,14 @@ impl WorkerPool {
     /// hook for live exposition; anything that must be deterministic folds
     /// the returned, index-ordered results instead.
     ///
+    /// `map` returns only once every worker that ran one of its jobs is
+    /// back at the queue. A worker that delivers the last result wakes
+    /// this thread, which often pre-empts it on the same core; without
+    /// the wait that worker would still be runnable after `map` returned,
+    /// competing with the caller's next work and skewing where the
+    /// scheduler places the caller's next threads. The returned wall time
+    /// ends at the last arrival and excludes this wait.
+    ///
     /// This is the one audited host-timing site of the batch drivers
     /// (L1-wall-clock in `analyze/allowlist.tsv`): the per-job and batch
     /// wall times feed host-domain fields only, never [`CycleStats`].
@@ -165,6 +190,9 @@ impl WorkerPool {
         let job = Arc::new(job);
         let (tx, rx) = channel::unbounded();
         let mut slots: Vec<Option<Result<T>>> = Vec::with_capacity(items.len());
+        // Jobs finished before this batch plus the batch's submitted jobs;
+        // other callers' jobs can only bring the count up sooner.
+        let mut settled = self.finished_jobs();
         for (idx, item) in items.into_iter().enumerate() {
             let (job, tx) = (Arc::clone(&job), tx.clone());
             let panicked = Arc::clone(&self.panicked);
@@ -186,6 +214,7 @@ impl WorkerPool {
                 }
             });
             // A rejected item is settled now; a submitted one on arrival.
+            settled += u64::from(submitted.is_ok());
             slots.push(submitted.err().map(Err));
         }
         drop(tx);
@@ -195,11 +224,17 @@ impl WorkerPool {
             on_arrival(idx, worker, wall, &result);
             slots[idx] = Some(result);
         }
+        let wall = start.elapsed();
+        // Sleeping, not spinning or yielding, hands this core to a worker
+        // this thread pre-empted, so it can finish and park.
+        while self.finished_jobs() < settled {
+            std::thread::sleep(SETTLE_POLL);
+        }
         let results = slots
             .into_iter()
             .map(|slot| slot.unwrap_or(Err(crate::EscaError::PoolClosed)))
             .collect();
-        (results, start.elapsed())
+        (results, wall)
     }
 }
 
@@ -672,8 +707,9 @@ impl StreamingSession {
 
     /// Runs a batch of float frames through a full SS U-Net system
     /// pipeline ([`run_unet`]: Sub-Conv layers on the accelerator, the
-    /// rest on the host model), one frame per pool job. Results are in
-    /// frame order and identical to a sequential [`run_unet`] loop.
+    /// rest on the host model), one frame per pool job, largest frames
+    /// (by active sites) first. Results are in frame order and identical
+    /// to a sequential [`run_unet`] loop.
     ///
     /// # Errors
     ///
@@ -686,9 +722,20 @@ impl StreamingSession {
         act_bits: u8,
     ) -> Result<Vec<SystemRun>> {
         let (net, host, esca) = (Arc::new(net.clone()), *host, Arc::clone(&self.esca));
-        let job = move |frame: SparseTensor<f32>| run_unet(&net, &esca, &host, &frame, act_bits);
-        let (results, _) = self.pool.map(frames.to_vec(), job, |_, _, _, _| {});
-        results.into_iter().collect()
+        let job = move |(_, frame): (usize, SparseTensor<f32>)| {
+            run_unet(&net, &esca, &host, &frame, act_bits)
+        };
+        // Largest frames first (active sites stand in for cost): the batch
+        // then ends on small frames and the workers finish close together,
+        // instead of one idling while the other runs a large last frame.
+        let mut items: Vec<(usize, SparseTensor<f32>)> =
+            frames.iter().cloned().enumerate().collect();
+        items.sort_by_key(|(_, frame)| std::cmp::Reverse(frame.nnz()));
+        let order: Vec<usize> = items.iter().map(|&(i, _)| i).collect();
+        let (results, _) = self.pool.map(items, job, |_, _, _, _| {});
+        let mut runs: Vec<(usize, Result<SystemRun>)> = order.into_iter().zip(results).collect();
+        runs.sort_by_key(|&(i, _)| i);
+        runs.into_iter().map(|(_, run)| run).collect()
     }
 }
 
@@ -1097,6 +1144,81 @@ mod tests {
             arrivals.sort_unstable();
             assert_eq!(arrivals, (0..23).collect::<Vec<_>>(), "one arrival each");
         }
+    }
+
+    #[test]
+    fn map_returns_only_after_its_workers_are_back_at_the_queue() {
+        // The worker that delivers a batch's last result is often
+        // pre-empted by the caller it wakes; map must still not return
+        // before that worker has finished its job.
+        let pool = WorkerPool::new(2);
+        let mut submitted = 0;
+        for round in 0..200u64 {
+            let (results, _) =
+                pool.map((0..3u64).collect(), move |i| Ok(i + round), |_, _, _, _| {});
+            submitted += results.len() as u64;
+            assert_eq!(pool.finished_jobs(), submitted, "round {round}");
+        }
+    }
+
+    fn unet_frame(sites: i32, channels: usize) -> SparseTensor<f32> {
+        let mut t = SparseTensor::new(Extent3::cube(24), channels);
+        for i in 0..sites {
+            let f: Vec<f32> = (0..channels)
+                .map(|c| 0.1 + 0.01 * (i + c as i32) as f32)
+                .collect();
+            t.insert(Coord3::new((i * 7) % 20, (i * 3) % 20, (i * 5) % 20), &f)
+                .unwrap();
+        }
+        t.canonicalize();
+        t
+    }
+
+    #[test]
+    fn unet_batch_runs_frames_out_of_order_but_reports_in_frame_order() {
+        // Frame sizes out of order, so the largest-first schedule runs
+        // them in a different order than they are returned.
+        let net = SsUNet::new(esca_sscn::unet::UNetConfig {
+            input_channels: 1,
+            levels: 2,
+            base_channels: 8,
+            blocks_per_level: 1,
+            classes: 4,
+            kernel: 3,
+            seed: 5,
+        })
+        .unwrap();
+        let esca = Esca::new(EscaConfig::default()).unwrap();
+        let host = HostModel::default();
+        let session = StreamingSession::new(esca.clone(), Vec::new(), 2);
+        let frames: Vec<SparseTensor<f32>> = [20, 60, 35, 80, 10]
+            .iter()
+            .map(|&n| unet_frame(n, 1))
+            .collect();
+        let runs = session.run_unet_batch(&net, &host, &frames, 8).unwrap();
+        assert_eq!(runs.len(), frames.len());
+        for (i, (frame, got)) in frames.iter().zip(&runs).enumerate() {
+            let want = run_unet(&net, &esca, &host, frame, 8).unwrap();
+            assert_eq!(got.logits.coords(), want.logits.coords(), "frame {i}");
+            let bits = |t: &SparseTensor<f32>| -> Vec<u32> {
+                t.features().iter().map(|f| f.to_bits()).collect()
+            };
+            assert_eq!(bits(&got.logits), bits(&want.logits), "frame {i}");
+            assert_eq!(got.accel, want.accel, "frame {i}");
+        }
+
+        // The error reported is the lowest-indexed failing frame's, even
+        // though the larger failing frame 3 runs first.
+        let mut bad = frames;
+        bad[1] = unet_frame(10, 3);
+        bad[3] = unet_frame(80, 2);
+        let want = run_unet(&net, &esca, &host, &bad[1], 8).unwrap_err();
+        let other = run_unet(&net, &esca, &host, &bad[3], 8).unwrap_err();
+        assert_ne!(want, other, "the two failures must be distinguishable");
+        assert_eq!(
+            session.run_unet_batch(&net, &host, &bad, 8).unwrap_err(),
+            want
+        );
     }
 
     #[test]
