@@ -32,7 +32,9 @@ test:
 # (SLO_front.json, uploaded as a CI artifact), and a 2-tenant overload
 # smoke (queue depth 2, 8-frame burst) replays it through the bounded
 # ingest queue with the selected operating point published on /healthz.
-# Matches .github/workflows/ci.yml.
+# As in CI, the format check and the relative analyzer gate (no finding
+# absent from the committed ANALYZE_report.json) run before the absolute
+# gate, which rewrites that report. Matches .github/workflows/ci.yml.
 verify:
 	cargo build --workspace --release --locked --offline
 	cargo test --workspace -q --locked --offline
@@ -42,6 +44,8 @@ verify:
 	ESCA_PLAN_CACHE=1 ESCA_GEMM_BACKEND=scalar cargo test -q --locked --offline -p esca-suite --test streaming_determinism --test geometry_plan
 	ESCA_PLAN_CACHE=1 ESCA_GEMM_BACKEND=blocked cargo test -q --locked --offline -p esca-suite --test streaming_determinism --test geometry_plan
 	cargo clippy --workspace --all-targets --locked --offline -- -D warnings
+	cargo fmt --all -- --check
+	cargo run -q -p esca-analyze --locked --offline -- --diff-base ANALYZE_report.json --report /tmp/ANALYZE_diff.json --sarif /tmp/analyze_diff.sarif
 	cargo run -q -p esca-analyze --locked --offline -- --fail-stale
 	cargo run --release -q -p esca-bench --bin sscn_engine --locked --offline -- --smoke
 	cargo run --release -q -p esca-cli --bin esca --locked --offline -- stream --frames 3 --workers 2 --grid 48 --layers 2 --seed 1 --trace-out trace.json --span-trace-out spans.json --metrics-out metrics.json --prom-out metrics.prom --serve 127.0.0.1:0 --serve-scrape

@@ -578,33 +578,19 @@ impl Esca {
 
     /// Host-side **golden** companion of [`Esca::run_network`]: runs the
     /// same quantized layer stack through the matching-reuse flat engine
-    /// ([`esca_sscn::engine`]), with rulebooks served from `cache` — so a
-    /// whole stack over one frame costs a single coordinate-matching pass,
-    /// and repeated frames over the same geometry cost none. The output is
-    /// bit-identical to [`Esca::run_network`]'s. **No cycle model runs**:
-    /// this path produces no [`CycleStats`] and cannot perturb them — the
-    /// only thing caching buys (or costs) here is host wall-clock.
+    /// ([`esca_sscn::engine`]) on an explicit GEMM backend tier, with
+    /// rulebooks served from `cache` — so a whole stack over one frame
+    /// costs a single coordinate-matching pass, and repeated frames over
+    /// the same geometry cost none. The quantized path accumulates in
+    /// exact integer arithmetic, so the output stays **bit-identical** to
+    /// [`Esca::run_network`]'s on every backend — the tier only changes
+    /// host wall-clock. **No cycle model runs**: this path produces no
+    /// [`CycleStats`] and cannot perturb them — the only thing caching
+    /// buys (or costs) here is host wall-clock.
     ///
     /// # Errors
     ///
     /// As [`Esca::run_network`] for channel/kernel mismatches.
-    pub fn run_network_golden(
-        &self,
-        input: &SparseTensor<Q16>,
-        layers: &[(QuantizedWeights, bool)],
-        cache: &Arc<RulebookCache>,
-    ) -> Result<SparseTensor<Q16>> {
-        self.run_network_golden_with(input, layers, cache, GemmBackendKind::from_env())
-    }
-
-    /// [`Esca::run_network_golden`] on an explicit GEMM backend tier.
-    /// The quantized path accumulates in exact integer arithmetic, so the
-    /// output stays **bit-identical** to [`Esca::run_network`]'s on every
-    /// backend — the tier only changes host wall-clock.
-    ///
-    /// # Errors
-    ///
-    /// As [`Esca::run_network_golden`].
     pub fn run_network_golden_with(
         &self,
         input: &SparseTensor<Q16>,
@@ -624,7 +610,7 @@ impl Esca {
     ///
     /// # Errors
     ///
-    /// As [`Esca::run_network_golden`].
+    /// As [`Esca::run_network_golden_with`].
     pub fn run_network_golden_planned(
         &self,
         input: &SparseTensor<Q16>,
@@ -832,19 +818,25 @@ mod tests {
         let acc = esca();
         let cycle = acc.run_network(&qin, &stack).unwrap();
         let cache = Arc::new(RulebookCache::new());
-        let golden = acc.run_network_golden(&qin, &stack, &cache).unwrap();
+        let golden = acc
+            .run_network_golden_with(&qin, &stack, &cache, GemmBackendKind::from_env())
+            .unwrap();
         assert_eq!(golden.coords(), cycle.output.coords());
         assert_eq!(golden.features(), cycle.output.features());
         // One matching pass for the whole stack; a second frame over the
         // same geometry needs none.
         assert_eq!(cache.misses(), 1);
         assert_eq!(cache.hits(), 1);
-        let again = acc.run_network_golden(&qin, &stack, &cache).unwrap();
+        let again = acc
+            .run_network_golden_with(&qin, &stack, &cache, GemmBackendKind::from_env())
+            .unwrap();
         assert_eq!(again.features(), golden.features());
         assert_eq!(cache.misses(), 1);
         assert_eq!(cache.hits(), 3);
         // Empty stack mirrors run_network: the input comes back unchanged.
-        let noop = acc.run_network_golden(&qin, &[], &cache).unwrap();
+        let noop = acc
+            .run_network_golden_with(&qin, &[], &cache, GemmBackendKind::from_env())
+            .unwrap();
         assert!(noop.same_content(&qin));
     }
 
@@ -930,7 +922,12 @@ mod tests {
         let stack = vec![(w1, true), (w2, false)];
         let acc = esca();
         let baseline = acc
-            .run_network_golden(&qin, &stack, &Arc::new(RulebookCache::new()))
+            .run_network_golden_with(
+                &qin,
+                &stack,
+                &Arc::new(RulebookCache::new()),
+                GemmBackendKind::from_env(),
+            )
             .unwrap();
         for backend in GemmBackendKind::ALL {
             let cache = Arc::new(RulebookCache::new());
@@ -957,7 +954,12 @@ mod tests {
         let qw = QuantizedWeights::auto(&ConvWeights::seeded(5, 1, 4, 4), 8, 10).unwrap();
         let cache = Arc::new(RulebookCache::new());
         assert!(matches!(
-            esca().run_network_golden(&qin, &[(qw, false)], &cache),
+            esca().run_network_golden_with(
+                &qin,
+                &[(qw, false)],
+                &cache,
+                GemmBackendKind::from_env()
+            ),
             Err(EscaError::Config { .. })
         ));
     }

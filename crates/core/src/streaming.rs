@@ -476,8 +476,8 @@ impl StreamingSession {
     /// ([`StreamingSession::run_batch`]) runs repeated geometries
     /// **matching-resident** (see
     /// [`crate::config::EscaConfig::matching_resident`]). Defaults to
-    /// [`PlanCache::from_env`] (`ESCA_PLAN_CACHE=1` enables, with an
-    /// optional `ESCA_PLAN_CACHE_BYTES` budget).
+    /// [`PlanCache::from_env`] (`ESCA_PLAN_CACHE=1` enables an unbounded
+    /// cache).
     pub fn with_plan_cache(mut self, plans: Option<Arc<PlanCache>>) -> Self {
         self.plan_cache = plans;
         self
@@ -679,7 +679,7 @@ impl StreamingSession {
     }
 
     /// Runs a batch of frames through the resident stack on the
-    /// **host-side golden path** ([`Esca::run_network_golden`]): flat
+    /// **host-side golden path** ([`Esca::run_network_golden_planned`]): flat
     /// gather → per-tap GEMM → scatter with rulebooks served from the
     /// session's shared [`RulebookCache`] across frames *and* workers.
     /// Static-geometry streams (the paper's AR/VR deployment re-infers the

@@ -148,8 +148,8 @@ pub fn run_unet(
 #[derive(Debug, Clone)]
 pub struct GoldenUnetRun {
     /// The network logits — bit-identical to [`SsUNet::forward`] when the
-    /// replay ran the scalar reference GEMM tier ([`run_unet_golden`]'s
-    /// default), epsilon-bounded under the blocked throughput tier.
+    /// replay ran the scalar reference GEMM tier, epsilon-bounded under
+    /// the blocked throughput tier.
     pub logits: SparseTensor<f32>,
     /// Host-domain snapshot of the rulebook cache after the replay
     /// (hits/misses/evictions, resident bytes/entries) plus the engine's
@@ -159,17 +159,25 @@ pub struct GoldenUnetRun {
 
 /// Runs a full SS U-Net **on the host golden path** with every Sub-Conv
 /// layer delegated to the matching-reuse engine
-/// ([`SsUNet::forward_engine`]), sharing rulebooks through `cache` across
-/// levels, repeated replays and other sessions. Same-level encoder and
-/// decoder layers share one rulebook, so even a cold cache sees hits
-/// within a single pass; a warm cache (e.g. from an earlier
+/// ([`SsUNet::forward_engine`]) on an explicit GEMM backend tier, sharing
+/// rulebooks through `cache` across levels, repeated replays and other
+/// sessions. Same-level encoder and decoder layers share one rulebook, so
+/// even a cold cache sees hits within a single pass; a warm cache (e.g.
+/// from an earlier
 /// [`crate::streaming::StreamingSession::run_golden_batch`]) skips
 /// matching entirely.
 ///
-/// Always runs the **scalar reference** GEMM tier: "golden" here means
-/// the bit-exact float replay of [`SsUNet::forward`]. Use
-/// [`run_unet_golden_with`] to replay on a different backend (e.g. the
-/// blocked throughput tier, epsilon-bounded).
+/// "Golden" means the bit-exact float replay of [`SsUNet::forward`]: the
+/// logits are bit-identical under [`GemmBackendKind::ScalarRef`]; the
+/// blocked tier trades that for throughput within the documented epsilon
+/// bound, still fully deterministic.
+///
+/// With a whole-network geometry [`PlanCache`] in `plans`, the engine
+/// records the U-Net's full geometry plan (every level's rulebooks,
+/// strided/transpose maps) under the frame fingerprint on the first pass
+/// and replays it — zero per-layer cache probes — on every later frame
+/// with the same active set; the plan cache's counters join the returned
+/// metrics snapshot.
 ///
 /// No cycle model runs — this is the reference replay of what
 /// [`run_unet`] offloads, plus the cache telemetry for it.
@@ -178,43 +186,6 @@ pub struct GoldenUnetRun {
 ///
 /// Propagates network errors (shape/channel mismatches).
 pub fn run_unet_golden(
-    net: &SsUNet,
-    input: &SparseTensor<f32>,
-    cache: &Arc<RulebookCache>,
-) -> Result<GoldenUnetRun> {
-    run_unet_golden_with(net, input, cache, GemmBackendKind::ScalarRef)
-}
-
-/// [`run_unet_golden`] on an explicit GEMM backend tier. Logits are
-/// bit-identical to [`SsUNet::forward`] only under
-/// [`GemmBackendKind::ScalarRef`]; the blocked tier trades that for
-/// throughput within the documented epsilon bound, still fully
-/// deterministic.
-///
-/// # Errors
-///
-/// As [`run_unet_golden`].
-pub fn run_unet_golden_with(
-    net: &SsUNet,
-    input: &SparseTensor<f32>,
-    cache: &Arc<RulebookCache>,
-    backend: GemmBackendKind,
-) -> Result<GoldenUnetRun> {
-    run_unet_golden_planned(net, input, cache, backend, None)
-}
-
-/// [`run_unet_golden_with`] with an optional whole-network geometry
-/// [`PlanCache`]: when given, the engine records the U-Net's full
-/// geometry plan (every level's rulebooks, strided/transpose maps) under
-/// the frame fingerprint on the first pass and replays it — zero
-/// per-layer cache probes — on every later frame with the same active
-/// set. The plan cache's hit/miss/eviction/resident-bytes counters join
-/// the returned metrics snapshot.
-///
-/// # Errors
-///
-/// As [`run_unet_golden`].
-pub fn run_unet_golden_planned(
     net: &SsUNet,
     input: &SparseTensor<f32>,
     cache: &Arc<RulebookCache>,
@@ -304,7 +275,7 @@ mod tests {
         let net = small_net();
         let input = blob();
         let cache = Arc::new(RulebookCache::new());
-        let run = run_unet_golden(&net, &input, &cache).unwrap();
+        let run = run_unet_golden(&net, &input, &cache, GemmBackendKind::ScalarRef, None).unwrap();
         // Bit-identical to the pure float forward.
         let float_logits = net.forward(&input).unwrap();
         assert_eq!(run.logits.coords(), float_logits.coords());
@@ -315,7 +286,7 @@ mod tests {
         assert!(cold_misses >= 1);
         assert!(cache.hits() > 0, "encoder/decoder should share rulebooks");
         // A second replay is fully served from the cache.
-        let run2 = run_unet_golden(&net, &input, &cache).unwrap();
+        let run2 = run_unet_golden(&net, &input, &cache, GemmBackendKind::ScalarRef, None).unwrap();
         assert_eq!(
             cache.misses(),
             cold_misses,
@@ -363,8 +334,10 @@ mod tests {
         let net = small_net();
         let input = blob();
         let cache = Arc::new(RulebookCache::new());
-        let reference = run_unet_golden(&net, &input, &cache).unwrap();
-        let blocked = run_unet_golden_with(&net, &input, &cache, GemmBackendKind::Blocked).unwrap();
+        let reference =
+            run_unet_golden(&net, &input, &cache, GemmBackendKind::ScalarRef, None).unwrap();
+        let blocked =
+            run_unet_golden(&net, &input, &cache, GemmBackendKind::Blocked, None).unwrap();
         assert_eq!(blocked.logits.coords(), reference.logits.coords());
         for (x, y) in blocked
             .logits
@@ -397,10 +370,11 @@ mod tests {
         let net = small_net();
         let input = blob();
         let cache = Arc::new(RulebookCache::new());
-        let baseline = run_unet_golden(&net, &input, &cache).unwrap();
+        let baseline =
+            run_unet_golden(&net, &input, &cache, GemmBackendKind::ScalarRef, None).unwrap();
         let plan_cache = Arc::new(RulebookCache::new());
         let plans = Arc::new(PlanCache::new());
-        let first = run_unet_golden_planned(
+        let first = run_unet_golden(
             &net,
             &input,
             &plan_cache,
@@ -411,7 +385,7 @@ mod tests {
         assert_eq!(first.logits.features(), baseline.logits.features());
         assert_eq!((plans.misses(), plans.hits()), (1, 0));
         let probes = (plan_cache.hits(), plan_cache.misses());
-        let second = run_unet_golden_planned(
+        let second = run_unet_golden(
             &net,
             &input,
             &plan_cache,

@@ -17,15 +17,18 @@
 //! The same argument covers every other geometry-determined map the
 //! networks execute — strided/transpose convolutions and max pooling have
 //! fixed in/out site maps per active set too — so the cache stores any
-//! [`CachedGeometry`] artifact under a hardened [`GeometryKey`] folding
-//! the op kind, the stride/kernel parameter and (for transpose) the
-//! target set's fingerprint alongside the input fingerprint: a
-//! downsampled level can never alias a same-coordinate tensor from
-//! another level, parameter or op. On top of the per-op cache sits the
-//! whole-network plan layer ([`crate::plan`]): a [`FlatEngine`] given a
-//! [`PlanCache`] records the geometry sequence of one network pass on the
-//! first frame and replays it on later frames with **zero** matching work
-//! and zero per-layer cache probes.
+//! artifact as the [`PlanStep`] a plan records, under a hardened
+//! [`GeometryKey`] folding the op kind, the stride/kernel parameter and
+//! (for transpose) the target set's fingerprint alongside the input
+//! fingerprint: a downsampled level can never alias a same-coordinate
+//! tensor from another level, parameter or op. On top of the per-op cache
+//! sits the whole-network plan layer ([`crate::plan`]): a [`FlatEngine`]
+//! given a [`PlanCache`] records the geometry sequence of one network pass
+//! on the first frame and replays it on later frames with **zero**
+//! matching work and zero per-layer cache probes. Both caches are
+//! instances of one byte-budgeted LRU ([`ByteLru`]), and every geometry
+//! request of the engine goes through one step that either replays the
+//! plan or probes the per-op cache.
 //!
 //! The per-tap GEMM at the core of the flat kernels is **pluggable**
 //! ([`crate::gemm`]): [`apply_rulebook_flat`] and [`apply_rulebook_flat_q`]
@@ -42,6 +45,7 @@
 
 use crate::error::SscnError;
 use crate::gemm::{GemmBackend, GemmBackendKind, ScalarRef};
+use crate::lru::ByteLru;
 use crate::plan::{GeometryPlan, PlanCache, PlanKey, PlanStep, PoolMap, StridedMap, TransposeMap};
 use crate::quant::QuantizedWeights;
 use crate::rulebook::Rulebook;
@@ -50,9 +54,7 @@ use crate::weights::ConvWeights;
 use crate::Result;
 use esca_telemetry::Registry;
 use esca_tensor::{requantize_i64, ActiveSetFingerprint, Coord3, Extent3, SparseTensor, Q16};
-use std::collections::HashMap;
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, RwLock};
+use std::sync::Arc;
 
 /// Which geometry-determined artifact a cache entry holds. Part of the
 /// cache key, so ops can never alias each other.
@@ -89,349 +91,95 @@ pub struct GeometryKey {
     pub aux_hi: u64,
 }
 
-/// A cached geometry artifact, shared read-only behind [`Arc`].
-#[derive(Debug, Clone)]
-pub enum CachedGeometry {
-    /// A submanifold rulebook.
-    Book(Arc<Rulebook>),
-    /// A strided-convolution site map.
-    Strided(Arc<StridedMap>),
-    /// A transpose-convolution gather map.
-    Transpose(Arc<TransposeMap>),
-    /// A max-pooling reduction map.
-    Pool(Arc<PoolMap>),
-}
-
-impl CachedGeometry {
-    /// Heap bytes of the underlying artifact (the LRU currency).
-    pub fn heap_bytes(&self) -> usize {
-        match self {
-            CachedGeometry::Book(b) => b.heap_bytes(),
-            CachedGeometry::Strided(m) => m.heap_bytes(),
-            CachedGeometry::Transpose(m) => m.heap_bytes(),
-            CachedGeometry::Pool(m) => m.heap_bytes(),
-        }
-    }
-}
-
-/// One cached geometry artifact plus the bookkeeping the LRU budget needs.
-#[derive(Debug)]
-struct CacheEntry {
-    geo: CachedGeometry,
-    /// Artifact heap bytes at insert time (artifacts are immutable).
-    bytes: usize,
-    /// Logical timestamp of the last hit/insert; atomic so hits can touch
-    /// it under the read lock.
-    last_used: AtomicU64,
-}
-
-/// The lock-guarded part of the cache: the entry map plus the running
-/// byte total of every entry's rule/index lists.
-#[derive(Debug, Default)]
-struct CacheInner {
-    books: HashMap<GeometryKey, CacheEntry>,
-    bytes: usize,
-}
-
 /// A thread-safe cache of geometry artifacts — submanifold rulebooks plus
-/// strided/transpose/pooling maps — keyed by [`GeometryKey`].
+/// strided/transpose/pooling maps, each stored as the [`PlanStep`] a
+/// [`GeometryPlan`] records — keyed by [`GeometryKey`].
 ///
 /// Shared behind an [`Arc`], one cache serves all layers of a network
 /// pass *and* all frames/workers of a streaming batch: the first request
 /// per geometry builds the artifact (a miss), every later request returns
 /// the shared [`Arc`] without touching a coordinate hash map again (a
-/// hit). Hit/miss counters are atomic, so rates can be read concurrently
-/// with use. (The name predates the non-rulebook artifacts; the
-/// historical API — [`RulebookCache::get_or_build`] and the counters — is
-/// unchanged.)
+/// hit). It is one instance of the crate's byte-budgeted LRU
+/// ([`ByteLru`]), so counters, budget and eviction order are exactly the
+/// [`PlanCache`]'s.
 ///
 /// By default the cache is unbounded. [`with_capacity_bytes`] bounds the
-/// total [`Rulebook::heap_bytes`] it retains, evicting least-recently-used
+/// total artifact heap bytes it retains, evicting least-recently-used
 /// entries past the budget — modeling a deployment that cannot keep every
-/// frame geometry's rule lists resident. Eviction only affects *when* a
-/// rulebook must be rebuilt, never what it contains: outputs and cycle
+/// frame geometry's rule lists resident. Eviction only affects *when* an
+/// artifact must be rebuilt, never what it contains: outputs and cycle
 /// stats are byte-identical under any budget (the determinism contract's
 /// cache-invariance invariant, tested in `tests/cache_eviction.rs`).
 ///
-/// [`with_capacity_bytes`]: RulebookCache::with_capacity_bytes
-#[derive(Debug, Default)]
-pub struct RulebookCache {
-    inner: RwLock<CacheInner>,
-    hits: AtomicU64,
-    misses: AtomicU64,
-    evictions: AtomicU64,
-    /// Logical clock behind `CacheEntry::last_used`; `fetch_add` makes
-    /// every timestamp unique, so the LRU victim is always unambiguous.
-    tick: AtomicU64,
-    /// `None` = unbounded (the default).
-    cap_bytes: Option<usize>,
-}
+/// [`with_capacity_bytes`]: ByteLru::with_capacity_bytes
+pub type RulebookCache = ByteLru<GeometryKey, PlanStep>;
 
 impl RulebookCache {
-    /// Creates an empty, unbounded cache.
-    pub fn new() -> Self {
-        RulebookCache::default()
-    }
-
-    /// Creates an empty cache that retains at most `cap` bytes of rule
-    /// lists (as counted by [`Rulebook::heap_bytes`]), evicting the
-    /// least-recently-used entries when an insert exceeds the budget. The
-    /// entry being inserted is never evicted, so a single oversized
-    /// rulebook still works — the cache then simply holds that one entry
-    /// over budget until the next insert.
-    pub fn with_capacity_bytes(cap: usize) -> Self {
-        RulebookCache {
-            cap_bytes: Some(cap),
-            ..RulebookCache::default()
-        }
-    }
-
-    /// The generic lookup/build/insert path every artifact kind shares:
-    /// a read-locked probe (hit), then an unlocked build and a
-    /// write-locked insert (miss). Two concurrent first requests may both
-    /// build; one result wins the insert and both callers get structurally
-    /// equal artifacts (builds are pure functions of the key).
-    fn get_or_insert(
-        &self,
-        key: GeometryKey,
-        build: impl FnOnce() -> Result<CachedGeometry>,
-    ) -> Result<CachedGeometry> {
-        if let Some(entry) = self.inner.read().expect("cache lock").books.get(&key) {
-            self.hits.fetch_add(1, Ordering::Relaxed);
-            entry
-                .last_used
-                .store(self.tick.fetch_add(1, Ordering::Relaxed), Ordering::Relaxed);
-            return Ok(entry.geo.clone());
-        }
-        self.misses.fetch_add(1, Ordering::Relaxed);
-        let built = build()?;
-        let mut inner = self.inner.write().expect("cache lock");
-        let tick = self.tick.fetch_add(1, Ordering::Relaxed);
-        let geo = match inner.books.entry(key) {
-            // A racing builder inserted first; its build wins.
-            std::collections::hash_map::Entry::Occupied(e) => {
-                e.get().last_used.store(tick, Ordering::Relaxed);
-                e.get().geo.clone()
-            }
-            std::collections::hash_map::Entry::Vacant(v) => {
-                let bytes = built.heap_bytes();
-                let geo = v
-                    .insert(CacheEntry {
-                        geo: built,
-                        bytes,
-                        last_used: AtomicU64::new(tick),
-                    })
-                    .geo
-                    .clone();
-                inner.bytes += bytes;
-                if let Some(cap) = self.cap_bytes {
-                    self.evict_to_cap(&mut inner, cap, &key);
-                }
-                geo
-            }
-        };
-        Ok(geo)
-    }
-
     /// Returns the rulebook for `input`'s active set under a K×K×K
     /// submanifold kernel, building and caching it on first use.
     pub fn get_or_build<T: Copy>(&self, input: &SparseTensor<T>, k: u32) -> Arc<Rulebook> {
-        let key = GeometryKey {
-            op: GeometryOp::SubConv,
-            param: k,
-            set: input.active_fingerprint(),
-            aux_lo: 0,
-            aux_hi: 0,
-        };
-        let geo = self
-            .get_or_insert(key, || {
-                Ok(CachedGeometry::Book(Arc::new(Rulebook::build(input, k))))
-            })
-            .expect("rulebook build is infallible");
-        match geo {
-            CachedGeometry::Book(b) => b,
-            _ => unreachable!("op kind is part of the cache key"),
+        let build = || Arc::new(Rulebook::build(input, k));
+        let key = key_of(GeometryOp::SubConv, k, input);
+        match self.get_or_insert(key, || Ok(PlanStep::SubConv(build()))) {
+            Ok(PlanStep::SubConv(book)) => book,
+            // The op kind is part of the key, so a Sub-Conv key only ever
+            // holds a rulebook; should that fail, rebuild uncached.
+            _ => build(),
         }
     }
 
-    /// Returns the strided-convolution site map for `input`'s active set
-    /// under stride `kd`, building and caching it on first use.
-    pub fn strided_map<T: Copy>(&self, input: &SparseTensor<T>, kd: u32) -> Arc<StridedMap> {
-        let key = GeometryKey {
-            op: GeometryOp::Strided,
-            param: kd,
-            set: input.active_fingerprint(),
-            aux_lo: 0,
-            aux_hi: 0,
-        };
-        let geo = self
-            .get_or_insert(key, || {
-                Ok(CachedGeometry::Strided(Arc::new(StridedMap::build(
-                    input, kd,
-                ))))
-            })
-            .expect("strided map build is infallible");
-        match geo {
-            CachedGeometry::Strided(m) => m,
-            _ => unreachable!("op kind is part of the cache key"),
-        }
-    }
-
-    /// Returns the max-pooling reduction map for `input`'s active set
-    /// under window `kd`, building and caching it on first use.
-    pub fn pool_map<T: Copy>(&self, input: &SparseTensor<T>, kd: u32) -> Arc<PoolMap> {
-        let key = GeometryKey {
-            op: GeometryOp::Pool,
-            param: kd,
-            set: input.active_fingerprint(),
-            aux_lo: 0,
-            aux_hi: 0,
-        };
-        let geo = self
-            .get_or_insert(key, || {
-                Ok(CachedGeometry::Pool(Arc::new(PoolMap::build(input, kd))))
-            })
-            .expect("pool map build is infallible");
-        match geo {
-            CachedGeometry::Pool(m) => m,
-            _ => unreachable!("op kind is part of the cache key"),
-        }
-    }
-
-    /// Returns the transpose-convolution gather map from `input`'s coarse
-    /// active set to the `target` fine set under stride `kd`, building and
-    /// caching it on first use. The key folds **both** fingerprints: the
-    /// coarse input's and the fine target's.
-    ///
-    /// # Errors
-    ///
-    /// As [`TransposeMap::build`] (extent mismatch, invalid target set).
-    pub fn transpose_map<T: Copy>(
+    /// The lookup/build/insert path every artifact kind shares: a
+    /// read-locked probe (hit), then an unlocked build and a write-locked
+    /// insert (miss). Two concurrent first requests may both build; one
+    /// result wins the insert and both callers get structurally equal
+    /// artifacts (builds are pure functions of the key).
+    pub(crate) fn get_or_insert(
         &self,
-        input: &SparseTensor<T>,
-        kd: u32,
-        fine_extent: Extent3,
-        target: &[Coord3],
-    ) -> Result<Arc<TransposeMap>> {
-        let aux = ActiveSetFingerprint::of_coords(fine_extent, target);
-        let key = GeometryKey {
-            op: GeometryOp::Transpose,
-            param: kd,
-            set: input.active_fingerprint(),
-            aux_lo: aux.digest_lo,
-            aux_hi: aux.digest_hi,
-        };
-        let geo = self.get_or_insert(key, || {
-            Ok(CachedGeometry::Transpose(Arc::new(TransposeMap::build(
-                input,
-                kd,
-                fine_extent,
-                target,
-            )?)))
-        })?;
-        match geo {
-            CachedGeometry::Transpose(m) => Ok(m),
-            _ => unreachable!("op kind is part of the cache key"),
+        key: GeometryKey,
+        build: impl FnOnce() -> Result<PlanStep>,
+    ) -> Result<PlanStep> {
+        if let Some(step) = self.get(&key) {
+            return Ok(step);
         }
+        let step = build()?;
+        let bytes = step.heap_bytes();
+        Ok(self.insert_weighed(key, step, bytes))
     }
 
-    /// Evicts least-recently-used entries (never `keep`, the entry just
-    /// inserted) until the byte budget is met or only `keep` remains.
-    /// Victim choice is deterministic: `last_used` timestamps are unique,
-    /// so the minimum is unambiguous regardless of map iteration order.
-    fn evict_to_cap(&self, inner: &mut CacheInner, cap: usize, keep: &GeometryKey) {
-        while inner.bytes > cap && inner.books.len() > 1 {
-            let victim = inner
-                .books
-                .iter()
-                .filter(|(k, _)| *k != keep)
-                .min_by_key(|(_, e)| e.last_used.load(Ordering::Relaxed))
-                .map(|(k, _)| *k);
-            let Some(victim) = victim else { break };
-            if let Some(e) = inner.books.remove(&victim) {
-                inner.bytes -= e.bytes;
-                self.evictions.fetch_add(1, Ordering::Relaxed);
-            }
-        }
-    }
-
-    /// Number of cache hits so far.
-    pub fn hits(&self) -> u64 {
-        self.hits.load(Ordering::Relaxed)
-    }
-
-    /// Number of cache misses (rulebook builds) so far.
-    pub fn misses(&self) -> u64 {
-        self.misses.load(Ordering::Relaxed)
-    }
-
-    /// Number of entries evicted by the byte budget so far.
-    pub fn evictions(&self) -> u64 {
-        self.evictions.load(Ordering::Relaxed)
-    }
-
-    /// Hits over total lookups, in [0, 1]; zero before any lookup.
-    pub fn hit_rate(&self) -> f64 {
-        let h = self.hits() as f64;
-        let m = self.misses() as f64;
-        if h + m == 0.0 {
-            0.0
-        } else {
-            h / (h + m)
-        }
-    }
-
-    /// Number of distinct geometry artifacts cached.
-    pub fn len(&self) -> usize {
-        self.inner.read().expect("cache lock").books.len()
-    }
-
-    /// Whether no rulebook is cached.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
-    /// Total [`Rulebook::heap_bytes`] currently retained.
-    pub fn bytes(&self) -> usize {
-        self.inner.read().expect("cache lock").bytes
-    }
-
-    /// The byte budget, or `None` for the unbounded default.
-    pub fn capacity_bytes(&self) -> Option<usize> {
-        self.cap_bytes
-    }
-
-    /// Emits the cache's point-in-time totals into a telemetry registry:
-    /// hit/miss/eviction counters plus resident-byte and entry gauges.
-    ///
-    /// Counters carry the lifetime totals, so record into a *fresh*
-    /// registry (or one that has not seen this cache before). The
-    /// hit/miss split can race when workers contend on a cold geometry
-    /// (both may build), so these series belong in a **host-domain**
-    /// registry — they are host scheduling facts, never simulated cycles.
+    /// Emits the cache's point-in-time totals into a host-domain telemetry
+    /// registry as the `esca_rulebook_cache_*` series (see
+    /// [`ByteLru`]'s counters).
     pub fn record_metrics(&self, reg: &mut Registry) {
-        reg.counter_add("esca_rulebook_cache_hits_total", &[], self.hits());
-        reg.counter_add("esca_rulebook_cache_misses_total", &[], self.misses());
-        reg.counter_add("esca_rulebook_cache_evictions_total", &[], self.evictions());
-        reg.gauge_max(
-            "esca_rulebook_cache_resident_bytes",
-            &[],
-            self.bytes() as u64,
-        );
-        reg.gauge_max("esca_rulebook_cache_entries", &[], self.len() as u64);
-        if let Some(cap) = self.capacity_bytes() {
-            reg.gauge_max("esca_rulebook_cache_capacity_bytes", &[], cap as u64);
-        }
+        self.record_series(reg, "esca_rulebook_cache");
     }
+}
 
-    /// Drops every cached rulebook and resets the counters.
-    pub fn clear(&self) {
-        let mut inner = self.inner.write().expect("cache lock");
-        inner.books.clear();
-        inner.bytes = 0;
-        self.hits.store(0, Ordering::Relaxed);
-        self.misses.store(0, Ordering::Relaxed);
-        self.evictions.store(0, Ordering::Relaxed);
+/// The cache key of an artifact over `input`'s active set with no
+/// auxiliary set.
+fn key_of<T: Copy>(op: GeometryOp, param: u32, input: &SparseTensor<T>) -> GeometryKey {
+    GeometryKey {
+        op,
+        param,
+        set: input.active_fingerprint(),
+        aux_lo: 0,
+        aux_hi: 0,
+    }
+}
+
+/// The cache key of the transpose-convolution gather map from `input`'s
+/// coarse active set to the `target` fine set under stride `kd`: it folds
+/// **both** fingerprints, the coarse input's and the fine target's.
+fn transpose_key<T: Copy>(
+    input: &SparseTensor<T>,
+    kd: u32,
+    fine_extent: Extent3,
+    target: &[Coord3],
+) -> GeometryKey {
+    let aux = ActiveSetFingerprint::of_coords(fine_extent, target);
+    GeometryKey {
+        aux_lo: aux.digest_lo,
+        aux_hi: aux.digest_hi,
+        ..key_of(GeometryOp::Transpose, kd, input)
     }
 }
 
@@ -623,7 +371,7 @@ pub struct FlatEngine {
     /// Whole-network plan cache; `None` (the default) disables planning
     /// and every geometry request goes through the per-op cache.
     plans: Option<Arc<PlanCache>>,
-    /// The in-flight plan session, advanced by the `next_*` requests.
+    /// The in-flight plan session, advanced by every geometry request.
     session: PlanSession,
 }
 
@@ -665,13 +413,7 @@ impl FlatEngine {
     }
 
     /// Creates an engine over a shared cache (cross-layer, cross-frame and
-    /// cross-worker reuse), with the process default backend.
-    pub fn with_cache(cache: Arc<RulebookCache>) -> Self {
-        FlatEngine::with_cache_and_backend(cache, GemmBackendKind::from_env())
-    }
-
-    /// Creates an engine over a shared cache with an explicit backend
-    /// tier.
+    /// cross-worker reuse) with an explicit backend tier.
     pub fn with_cache_and_backend(cache: Arc<RulebookCache>, backend: GemmBackendKind) -> Self {
         FlatEngine {
             cache,
@@ -746,108 +488,32 @@ impl FlatEngine {
         }
     }
 
-    /// The next Sub-Conv rulebook in the current session: replayed from
-    /// the plan, or fetched from the per-op cache (and recorded).
+    /// The next geometry artifact in the current session: replayed from
+    /// the plan in order, or fetched from the per-op cache under `key`
+    /// (building it on a miss) and recorded. `None` means a replayed plan
+    /// has no step left — a stale or mis-keyed plan, which the caller
+    /// reports with the same error as a step of the wrong kind.
     ///
     /// # Errors
     ///
-    /// [`SscnError::InvalidConfig`] when a replayed plan's next step is
-    /// not a Sub-Conv rulebook (a stale or mis-keyed plan).
-    fn next_rulebook<T: Copy>(&mut self, x: &SparseTensor<T>, k: u32) -> Result<Arc<Rulebook>> {
-        match &mut self.session {
-            PlanSession::Replay { plan, cursor } => {
-                let step = plan.steps().get(*cursor);
-                *cursor += 1;
-                match step {
-                    Some(PlanStep::SubConv(b)) => Ok(Arc::clone(b)),
-                    _ => Err(plan_step_mismatch("sub-conv rulebook")),
-                }
-            }
-            PlanSession::Record { steps, .. } => {
-                let rb = self.cache.get_or_build(x, k);
-                steps.push(PlanStep::SubConv(Arc::clone(&rb)));
-                Ok(rb)
-            }
-            PlanSession::Off => Ok(self.cache.get_or_build(x, k)),
-        }
-    }
-
-    /// The next strided-convolution site map in the current session.
-    ///
-    /// # Errors
-    ///
-    /// As [`FlatEngine::next_rulebook`].
-    fn next_strided<T: Copy>(&mut self, x: &SparseTensor<T>, kd: u32) -> Result<Arc<StridedMap>> {
-        match &mut self.session {
-            PlanSession::Replay { plan, cursor } => {
-                let step = plan.steps().get(*cursor);
-                *cursor += 1;
-                match step {
-                    Some(PlanStep::Strided(m)) => Ok(Arc::clone(m)),
-                    _ => Err(plan_step_mismatch("strided map")),
-                }
-            }
-            PlanSession::Record { steps, .. } => {
-                let m = self.cache.strided_map(x, kd);
-                steps.push(PlanStep::Strided(Arc::clone(&m)));
-                Ok(m)
-            }
-            PlanSession::Off => Ok(self.cache.strided_map(x, kd)),
-        }
-    }
-
-    /// The next transpose-convolution gather map in the current session.
-    ///
-    /// # Errors
-    ///
-    /// As [`FlatEngine::next_rulebook`], plus [`TransposeMap::build`]'s
-    /// errors on a miss.
-    fn next_transpose<T: Copy>(
+    /// As `build` on a cache miss.
+    fn geometry(
         &mut self,
-        x: &SparseTensor<T>,
-        kd: u32,
-        fine_extent: Extent3,
-        target: &[Coord3],
-    ) -> Result<Arc<TransposeMap>> {
+        key: GeometryKey,
+        build: impl FnOnce() -> Result<PlanStep>,
+    ) -> Result<Option<PlanStep>> {
         match &mut self.session {
             PlanSession::Replay { plan, cursor } => {
-                let step = plan.steps().get(*cursor);
+                let step = plan.steps().get(*cursor).cloned();
                 *cursor += 1;
-                match step {
-                    Some(PlanStep::Transpose(m)) => Ok(Arc::clone(m)),
-                    _ => Err(plan_step_mismatch("transpose map")),
-                }
+                Ok(step)
             }
             PlanSession::Record { steps, .. } => {
-                let m = self.cache.transpose_map(x, kd, fine_extent, target)?;
-                steps.push(PlanStep::Transpose(Arc::clone(&m)));
-                Ok(m)
+                let step = self.cache.get_or_insert(key, build)?;
+                steps.push(step.clone());
+                Ok(Some(step))
             }
-            PlanSession::Off => self.cache.transpose_map(x, kd, fine_extent, target),
-        }
-    }
-
-    /// The next max-pooling reduction map in the current session.
-    ///
-    /// # Errors
-    ///
-    /// As [`FlatEngine::next_rulebook`].
-    fn next_pool<T: Copy>(&mut self, x: &SparseTensor<T>, kd: u32) -> Result<Arc<PoolMap>> {
-        match &mut self.session {
-            PlanSession::Replay { plan, cursor } => {
-                let step = plan.steps().get(*cursor);
-                *cursor += 1;
-                match step {
-                    Some(PlanStep::Pool(m)) => Ok(Arc::clone(m)),
-                    _ => Err(plan_step_mismatch("pool map")),
-                }
-            }
-            PlanSession::Record { steps, .. } => {
-                let m = self.cache.pool_map(x, kd);
-                steps.push(PlanStep::Pool(Arc::clone(&m)));
-                Ok(m)
-            }
-            PlanSession::Off => Ok(self.cache.pool_map(x, kd)),
+            PlanSession::Off => self.cache.get_or_insert(key, build).map(Some),
         }
     }
 
@@ -909,7 +575,13 @@ impl FlatEngine {
         w: &ConvWeights,
         relu: bool,
     ) -> Result<SparseTensor<f32>> {
-        let rb = self.next_rulebook(x, w.k())?;
+        let k = w.k();
+        let step = self.geometry(key_of(GeometryOp::SubConv, k, x), || {
+            Ok(PlanStep::SubConv(Arc::new(Rulebook::build(x, k))))
+        })?;
+        let Some(PlanStep::SubConv(rb)) = step else {
+            return Err(plan_step_mismatch("sub-conv rulebook"));
+        };
         let out = apply_rulebook_flat_with(x, &rb, w, relu, self.backend.backend())?;
         self.note_gemm(&rb, w.in_ch(), w.out_ch());
         Ok(out)
@@ -929,7 +601,13 @@ impl FlatEngine {
         x: &SparseTensor<f32>,
         w: &StridedWeights,
     ) -> Result<SparseTensor<f32>> {
-        let map = self.next_strided(x, w.kd())?;
+        let kd = w.kd();
+        let step = self.geometry(key_of(GeometryOp::Strided, kd, x), || {
+            Ok(PlanStep::Strided(Arc::new(StridedMap::build(x, kd))))
+        })?;
+        let Some(PlanStep::Strided(map)) = step else {
+            return Err(plan_step_mismatch("strided map"));
+        };
         let out = map.apply(x, w)?;
         let rows = map.sites() as u64;
         self.gemm_rows += rows;
@@ -952,7 +630,15 @@ impl FlatEngine {
         fine_extent: Extent3,
         target: &[Coord3],
     ) -> Result<SparseTensor<f32>> {
-        let map = self.next_transpose(x, w.kd(), fine_extent, target)?;
+        let kd = w.kd();
+        let key = transpose_key(x, kd, fine_extent, target);
+        let step = self.geometry(key, || {
+            let map = TransposeMap::build(x, kd, fine_extent, target)?;
+            Ok(PlanStep::Transpose(Arc::new(map)))
+        })?;
+        let Some(PlanStep::Transpose(map)) = step else {
+            return Err(plan_step_mismatch("transpose map"));
+        };
         let out = map.apply(x, w)?;
         let rows = map.sites() as u64;
         self.gemm_rows += rows;
@@ -967,7 +653,12 @@ impl FlatEngine {
     ///
     /// As [`PoolMap::apply`], plus a plan-step mismatch on a stale replay.
     pub fn max_pool(&mut self, x: &SparseTensor<f32>, kd: u32) -> Result<SparseTensor<f32>> {
-        let map = self.next_pool(x, kd)?;
+        let step = self.geometry(key_of(GeometryOp::Pool, kd, x), || {
+            Ok(PlanStep::Pool(Arc::new(PoolMap::build(x, kd))))
+        })?;
+        let Some(PlanStep::Pool(map)) = step else {
+            return Err(plan_step_mismatch("pool map"));
+        };
         map.apply(x)
     }
 
@@ -985,7 +676,13 @@ impl FlatEngine {
         w: &QuantizedWeights,
         relu: bool,
     ) -> Result<SparseTensor<Q16>> {
-        let rb = self.next_rulebook(x, w.k())?;
+        let k = w.k();
+        let step = self.geometry(key_of(GeometryOp::SubConv, k, x), || {
+            Ok(PlanStep::SubConv(Arc::new(Rulebook::build(x, k))))
+        })?;
+        let Some(PlanStep::SubConv(rb)) = step else {
+            return Err(plan_step_mismatch("sub-conv rulebook"));
+        };
         let out =
             apply_rulebook_flat_q_with(x, &rb, w, relu, &mut self.scratch, self.backend.backend())?;
         self.note_gemm(&rb, w.in_ch(), w.out_ch());
@@ -1234,7 +931,8 @@ mod tests {
                 let qw = &qw;
                 let golden = &golden;
                 scope.spawn(move |_| {
-                    let mut eng = FlatEngine::with_cache(cache);
+                    let mut eng =
+                        FlatEngine::with_cache_and_backend(cache, GemmBackendKind::from_env());
                     let out = eng.subconv_q(qframe, qw, true).unwrap();
                     assert_eq!(out.features(), golden.features());
                 });
@@ -1321,21 +1019,51 @@ mod tests {
     #[test]
     fn hardened_key_separates_ops_params_and_targets() {
         use crate::sparse_ops::downsampled_extent;
-        let cache = RulebookCache::new();
+        let cache = Arc::new(RulebookCache::new());
+        let mut eng =
+            FlatEngine::with_cache_and_backend(Arc::clone(&cache), GemmBackendKind::ScalarRef);
+        let mut step = |(key, built): (GeometryKey, PlanStep)| {
+            eng.geometry(key, || Ok(built)).unwrap().unwrap()
+        };
+        let book = |x: &SparseTensor<f32>, k| {
+            let b = Rulebook::build(x, k);
+            (
+                key_of(GeometryOp::SubConv, k, x),
+                PlanStep::SubConv(Arc::new(b)),
+            )
+        };
+        let strided = |x: &SparseTensor<f32>, kd| {
+            let m = StridedMap::build(x, kd);
+            (
+                key_of(GeometryOp::Strided, kd, x),
+                PlanStep::Strided(Arc::new(m)),
+            )
+        };
+        let pool = |x: &SparseTensor<f32>, kd| {
+            let m = PoolMap::build(x, kd);
+            (key_of(GeometryOp::Pool, kd, x), PlanStep::Pool(Arc::new(m)))
+        };
         let t = random_input(70, 8, 1, 25);
-        let _ = cache.get_or_build(&t, 3);
-        let _ = cache.strided_map(&t, 3);
-        let _ = cache.pool_map(&t, 3);
+        let transpose = |x: &SparseTensor<f32>, target: &[Coord3]| {
+            let m = TransposeMap::build(x, 2, t.extent(), target).unwrap();
+            let key = transpose_key(x, 2, t.extent(), target);
+            (key, PlanStep::Transpose(Arc::new(m)))
+        };
+        let _ = step(book(&t, 3));
+        let _ = step(strided(&t, 3));
+        let _ = step(pool(&t, 3));
         // Three ops over one active set and one parameter: three entries.
         assert_eq!((cache.len(), cache.hits(), cache.misses()), (3, 0, 3));
         // Same op, different parameter: a fourth entry.
-        let _ = cache.strided_map(&t, 2);
+        let _ = step(strided(&t, 2));
         assert_eq!(cache.len(), 4);
         // Transpose: same coarse set + stride, different targets.
-        let coarse = cache.strided_map(&t, 2).out_coords().to_vec();
+        let PlanStep::Strided(down) = step(strided(&t, 2)) else {
+            panic!("a strided key holds a strided map");
+        };
         let coarse_t = {
             let mut c = SparseTensor::<f32>::new(downsampled_extent(t.extent(), 2), 1);
-            for &q in &coarse {
+            for &q in down.out_coords() {
                 c.insert(q, &[1.0]).unwrap();
             }
             c.canonicalize();
@@ -1343,12 +1071,12 @@ mod tests {
         };
         let full = t.coords().to_vec();
         let partial = &full[..full.len() / 2];
-        let m1 = cache
-            .transpose_map(&coarse_t, 2, t.extent(), &full)
-            .unwrap();
-        let m2 = cache
-            .transpose_map(&coarse_t, 2, t.extent(), partial)
-            .unwrap();
+        let PlanStep::Transpose(m1) = step(transpose(&coarse_t, &full)) else {
+            panic!("a transpose key holds a transpose map");
+        };
+        let PlanStep::Transpose(m2) = step(transpose(&coarse_t, partial)) else {
+            panic!("a transpose key holds a transpose map");
+        };
         assert!(!Arc::ptr_eq(&m1, &m2), "distinct targets must not alias");
         assert_eq!(
             cache.len(),
@@ -1361,7 +1089,7 @@ mod tests {
             big.insert(c, &[1.0]).unwrap();
         }
         big.canonicalize();
-        let _ = cache.pool_map(&big, 3);
+        let _ = step(pool(&big, 3));
         assert_eq!(cache.len(), 7, "extent must separate same-coord sets");
     }
 

@@ -28,7 +28,8 @@
 //!   for strided/transpose convolution and pooling, aggregated per frame
 //!   fingerprint into one [`plan::GeometryPlan`] shared through a
 //!   [`plan::PlanCache`], so a static-scene stream does zero matching
-//!   work after its first frame;
+//!   work after its first frame; both caches are instances of one
+//!   byte-budgeted LRU, [`ByteLru`];
 //! * [`gemm`] — pluggable per-tap GEMM backends behind the flat engine:
 //!   the bit-exact [`gemm::ScalarRef`] reference tier and the
 //!   cache-blocked [`gemm::Blocked`] throughput tier (epsilon-bounded on
@@ -67,6 +68,7 @@ pub mod engine;
 pub mod error;
 pub mod gemm;
 pub mod layer;
+mod lru;
 pub mod ops;
 pub mod par;
 pub mod plan;
@@ -78,6 +80,7 @@ pub mod unet;
 pub mod weights;
 
 pub use error::SscnError;
+pub use lru::ByteLru;
 
 /// Crate-wide result alias.
 pub type Result<T> = std::result::Result<T, SscnError>;

@@ -30,14 +30,14 @@
 //! probes (lint **L2**); coordinate hashing happens once, at build time.
 
 use crate::error::SscnError;
+use crate::lru::ByteLru;
 use crate::rulebook::Rulebook;
 use crate::sparse_ops::{downsampled_extent, StridedWeights};
 use crate::Result;
 use esca_telemetry::Registry;
 use esca_tensor::{ActiveSetFingerprint, Coord3, Extent3, SparseTensor};
 use std::collections::HashMap;
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, RwLock};
+use std::sync::Arc;
 
 /// Sentinel in [`TransposeMap`]'s source array: the covering coarse site
 /// is inactive, so the output row stays zero.
@@ -569,227 +569,51 @@ pub fn digest_u64s<I: IntoIterator<Item = u64>>(tag: u64, vals: I) -> u64 {
     h
 }
 
-/// One cached plan plus the bookkeeping the LRU budget needs.
-#[derive(Debug)]
-struct PlanEntry {
-    plan: Arc<GeometryPlan>,
-    bytes: usize,
-    last_used: AtomicU64,
-}
-
-#[derive(Debug, Default)]
-struct PlanInner {
-    plans: HashMap<PlanKey, PlanEntry>,
-    bytes: usize,
-}
-
 /// A thread-safe cache of whole-network [`GeometryPlan`]s keyed by
 /// [`PlanKey`]. Shared behind an [`Arc`] across frames, sessions and
 /// worker threads; the steady state of a static-scene stream is one
-/// [`PlanCache::get`] hit per frame and **zero** geometry construction.
+/// [`ByteLru::get`] hit per frame and **zero** geometry construction.
 ///
-/// Mirrors [`crate::engine::RulebookCache`]'s behavior: atomic hit/miss/
+/// It is one instance of the crate's byte-budgeted LRU ([`ByteLru`]), the
+/// same one behind [`crate::engine::RulebookCache`]: atomic hit/miss/
 /// eviction counters readable concurrently with use, an optional byte
 /// budget with deterministic unique-timestamp LRU eviction (eviction can
 /// only force a rebuild, never change an output), and a division-safe
-/// [`PlanCache::hit_rate`].
-#[derive(Debug, Default)]
-pub struct PlanCache {
-    inner: RwLock<PlanInner>,
-    hits: AtomicU64,
-    misses: AtomicU64,
-    evictions: AtomicU64,
-    tick: AtomicU64,
-    cap_bytes: Option<usize>,
-}
+/// [`ByteLru::hit_rate`]. [`ByteLru::contains`] probes residency without
+/// counting or refreshing anything — the probe the cycle-model streaming
+/// path uses to derive deterministic matching-residency hints, so it
+/// never perturbs the host-domain hit/miss accounting of the golden path.
+pub type PlanCache = ByteLru<PlanKey, Arc<GeometryPlan>>;
 
 impl PlanCache {
-    /// Creates an empty, unbounded plan cache.
-    pub fn new() -> Self {
-        PlanCache::default()
-    }
-
-    /// Creates an empty cache that retains at most `cap` bytes of plan
-    /// artifacts (as counted by [`GeometryPlan::heap_bytes`]), evicting
-    /// least-recently-used plans past the budget. The plan being inserted
-    /// is never evicted.
-    pub fn with_capacity_bytes(cap: usize) -> Self {
-        PlanCache {
-            cap_bytes: Some(cap),
-            ..PlanCache::default()
-        }
-    }
-
-    /// Builds a shared cache from the process environment:
-    /// `ESCA_PLAN_CACHE=1|true|on` enables it (optionally bounded by
-    /// `ESCA_PLAN_CACHE_BYTES`), anything else returns `None`.
+    /// Builds a shared, unbounded cache from the process environment:
+    /// `ESCA_PLAN_CACHE=1|true|on` enables it, anything else returns
+    /// `None`.
     pub fn from_env() -> Option<Arc<PlanCache>> {
-        let enabled = std::env::var("ESCA_PLAN_CACHE")
-            .map(|v| matches!(v.trim(), "1" | "true" | "on"))
-            .unwrap_or(false);
-        if !enabled {
-            return None;
-        }
-        let cache = match std::env::var("ESCA_PLAN_CACHE_BYTES")
-            .ok()
-            .and_then(|v| v.trim().parse::<usize>().ok())
-        {
-            Some(cap) => PlanCache::with_capacity_bytes(cap),
-            None => PlanCache::new(),
-        };
-        Some(Arc::new(cache))
+        plan_cache_enabled(std::env::var("ESCA_PLAN_CACHE").ok().as_deref())
+            .then(|| Arc::new(PlanCache::new()))
     }
 
-    /// Whether a plan for `key` is resident, **without** counting a hit
-    /// or miss or touching its LRU timestamp. This is the probe the
-    /// cycle-model streaming path uses to derive deterministic
-    /// matching-residency hints — it must not perturb the host-domain
-    /// hit/miss accounting of the golden path.
-    pub fn contains(&self, key: &PlanKey) -> bool {
-        self.inner
-            .read()
-            .expect("plan cache lock")
-            .plans
-            .contains_key(key)
-    }
-
-    /// Looks the key up, counting a hit or a miss. A miss is expected to
-    /// be followed by a build + [`PlanCache::insert`].
-    pub fn get(&self, key: &PlanKey) -> Option<Arc<GeometryPlan>> {
-        if let Some(entry) = self.inner.read().expect("plan cache lock").plans.get(key) {
-            self.hits.fetch_add(1, Ordering::Relaxed);
-            entry
-                .last_used
-                .store(self.tick.fetch_add(1, Ordering::Relaxed), Ordering::Relaxed);
-            return Some(Arc::clone(&entry.plan));
-        }
-        self.misses.fetch_add(1, Ordering::Relaxed);
-        None
-    }
-
-    /// Inserts a freshly built plan. Two concurrent first builds may
+    /// Inserts a freshly built plan, weighed by [`GeometryPlan::heap_bytes`],
+    /// and returns the resident plan. Two concurrent first builds may
     /// race; the first insert wins and both callers' plans are
-    /// structurally equal (plans are pure functions of the key). Returns
-    /// the resident plan.
+    /// structurally equal (plans are pure functions of the key).
     pub fn insert(&self, key: PlanKey, plan: GeometryPlan) -> Arc<GeometryPlan> {
-        let mut inner = self.inner.write().expect("plan cache lock");
-        let tick = self.tick.fetch_add(1, Ordering::Relaxed);
-        match inner.plans.entry(key) {
-            std::collections::hash_map::Entry::Occupied(e) => {
-                e.get().last_used.store(tick, Ordering::Relaxed);
-                Arc::clone(&e.get().plan)
-            }
-            std::collections::hash_map::Entry::Vacant(v) => {
-                let bytes = plan.heap_bytes();
-                let plan = Arc::clone(
-                    &v.insert(PlanEntry {
-                        plan: Arc::new(plan),
-                        bytes,
-                        last_used: AtomicU64::new(tick),
-                    })
-                    .plan,
-                );
-                inner.bytes += bytes;
-                if let Some(cap) = self.cap_bytes {
-                    self.evict_to_cap(&mut inner, cap, &key);
-                }
-                plan
-            }
-        }
+        let bytes = plan.heap_bytes();
+        self.insert_weighed(key, Arc::new(plan), bytes)
     }
 
-    /// Evicts least-recently-used plans (never `keep`) until the byte
-    /// budget is met or only `keep` remains. Deterministic: `last_used`
-    /// timestamps are unique.
-    fn evict_to_cap(&self, inner: &mut PlanInner, cap: usize, keep: &PlanKey) {
-        while inner.bytes > cap && inner.plans.len() > 1 {
-            let victim = inner
-                .plans
-                .iter()
-                .filter(|(k, _)| *k != keep)
-                .min_by_key(|(_, e)| e.last_used.load(Ordering::Relaxed))
-                .map(|(k, _)| *k);
-            let Some(victim) = victim else { break };
-            if let Some(e) = inner.plans.remove(&victim) {
-                inner.bytes -= e.bytes;
-                self.evictions.fetch_add(1, Ordering::Relaxed);
-            }
-        }
-    }
-
-    /// Number of plan hits so far.
-    pub fn hits(&self) -> u64 {
-        self.hits.load(Ordering::Relaxed)
-    }
-
-    /// Number of plan misses (whole-network builds) so far.
-    pub fn misses(&self) -> u64 {
-        self.misses.load(Ordering::Relaxed)
-    }
-
-    /// Number of plans evicted by the byte budget so far.
-    pub fn evictions(&self) -> u64 {
-        self.evictions.load(Ordering::Relaxed)
-    }
-
-    /// Hits over total lookups, in [0, 1]; zero before any lookup
-    /// (division-safe — never NaN).
-    pub fn hit_rate(&self) -> f64 {
-        let h = self.hits() as f64;
-        let m = self.misses() as f64;
-        if h + m == 0.0 {
-            0.0
-        } else {
-            h / (h + m)
-        }
-    }
-
-    /// Number of whole-network plans resident.
-    pub fn len(&self) -> usize {
-        self.inner.read().expect("plan cache lock").plans.len()
-    }
-
-    /// Whether no plan is resident.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
-    /// Total plan heap bytes currently retained.
-    pub fn bytes(&self) -> usize {
-        self.inner.read().expect("plan cache lock").bytes
-    }
-
-    /// The byte budget, or `None` for the unbounded default.
-    pub fn capacity_bytes(&self) -> Option<usize> {
-        self.cap_bytes
-    }
-
-    /// Emits the cache's point-in-time totals into a telemetry registry
-    /// (`esca_plan_cache_*`). Counters carry lifetime totals — record
-    /// into a fresh registry. Like the rulebook-cache series, the
-    /// hit/miss split is a host scheduling fact and belongs in a
-    /// **host-domain** registry; counter merges are plain sums, so
-    /// recording is commutative across caches.
+    /// Emits the cache's point-in-time totals into a host-domain telemetry
+    /// registry as the `esca_plan_cache_*` series (see [`ByteLru`]'s
+    /// counters).
     pub fn record_metrics(&self, reg: &mut Registry) {
-        reg.counter_add("esca_plan_cache_hits_total", &[], self.hits());
-        reg.counter_add("esca_plan_cache_misses_total", &[], self.misses());
-        reg.counter_add("esca_plan_cache_evictions_total", &[], self.evictions());
-        reg.gauge_max("esca_plan_cache_resident_bytes", &[], self.bytes() as u64);
-        reg.gauge_max("esca_plan_cache_entries", &[], self.len() as u64);
-        if let Some(cap) = self.capacity_bytes() {
-            reg.gauge_max("esca_plan_cache_capacity_bytes", &[], cap as u64);
-        }
+        self.record_series(reg, "esca_plan_cache");
     }
+}
 
-    /// Drops every cached plan and resets the counters.
-    pub fn clear(&self) {
-        let mut inner = self.inner.write().expect("plan cache lock");
-        inner.plans.clear();
-        inner.bytes = 0;
-        self.hits.store(0, Ordering::Relaxed);
-        self.misses.store(0, Ordering::Relaxed);
-        self.evictions.store(0, Ordering::Relaxed);
-    }
+/// Whether an `ESCA_PLAN_CACHE` value switches the plan cache on.
+fn plan_cache_enabled(value: Option<&str>) -> bool {
+    matches!(value.map(str::trim), Some("1" | "true" | "on"))
 }
 
 #[cfg(test)]
@@ -992,12 +816,41 @@ mod tests {
     }
 
     #[test]
-    fn from_env_respects_the_switch() {
-        // The test process may or may not define the variable; only the
-        // parsing contract is checked here, via explicit construction.
-        let unbounded = PlanCache::new();
-        assert_eq!(unbounded.capacity_bytes(), None);
-        let bounded = PlanCache::with_capacity_bytes(1024);
-        assert_eq!(bounded.capacity_bytes(), Some(1024));
+    fn plan_cache_switch_parses_like_from_env() {
+        for on in ["1", "true", "on", " 1 "] {
+            assert!(plan_cache_enabled(Some(on)), "{on:?} enables the cache");
+        }
+        for off in [None, Some("0"), Some("yes")] {
+            assert!(!plan_cache_enabled(off), "{off:?} leaves it off");
+        }
+    }
+
+    #[test]
+    fn contains_neither_counts_nor_refreshes_recency() {
+        let frames: Vec<_> = (0..3).map(|s| random_input(70 + s, 10, 1, 40)).collect();
+        let plan_of = |f: &SparseTensor<f32>| {
+            GeometryPlan::new(vec![PlanStep::Pool(Arc::new(PoolMap::build(f, 2)))])
+        };
+        let key = |f: &SparseTensor<f32>| PlanKey {
+            network: 1,
+            frame: f.active_fingerprint(),
+        };
+        let two = plan_of(&frames[0]).heap_bytes() + plan_of(&frames[1]).heap_bytes();
+        let cap = two.max(plan_of(&frames[1]).heap_bytes() + plan_of(&frames[2]).heap_bytes());
+        let cache = PlanCache::with_capacity_bytes(cap);
+        cache.insert(key(&frames[0]), plan_of(&frames[0]));
+        cache.insert(key(&frames[1]), plan_of(&frames[1]));
+        // Probe the LRU victim (frame 0) and a non-resident key: nothing
+        // is counted.
+        assert!(cache.contains(&key(&frames[0])));
+        assert!(!cache.contains(&key(&frames[2])));
+        assert_eq!((cache.hits(), cache.misses()), (0, 0));
+        // The probe did not refresh frame 0, so the next insert still
+        // evicts it rather than frame 1.
+        cache.insert(key(&frames[2]), plan_of(&frames[2]));
+        assert_eq!(cache.evictions(), 1);
+        assert!(!cache.contains(&key(&frames[0])));
+        assert!(cache.contains(&key(&frames[1])));
+        assert_eq!((cache.hits(), cache.misses()), (0, 0));
     }
 }

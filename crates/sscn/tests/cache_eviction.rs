@@ -4,6 +4,7 @@
 //! determinism contract's cache-invariance invariant).
 
 use esca_sscn::engine::{FlatEngine, RulebookCache};
+use esca_sscn::gemm::GemmBackendKind;
 use esca_sscn::quant::{quantize_tensor, QuantizedWeights};
 use esca_sscn::weights::ConvWeights;
 use esca_tensor::{Coord3, Extent3, SparseTensor, Q16};
@@ -50,7 +51,8 @@ fn eviction_changes_misses_but_never_outputs() {
     let layers = layers();
 
     let unbounded = Arc::new(RulebookCache::new());
-    let mut ref_engine = FlatEngine::with_cache(Arc::clone(&unbounded));
+    let mut ref_engine =
+        FlatEngine::with_cache_and_backend(Arc::clone(&unbounded), GemmBackendKind::from_env());
     let reference: Vec<SparseTensor<Q16>> = frames
         .iter()
         .map(|f| {
@@ -66,7 +68,8 @@ fn eviction_changes_misses_but_never_outputs() {
     // one, so the cache thrashes — and nothing downstream may notice.
     let one_book = unbounded.bytes() / frames.len();
     let bounded = Arc::new(RulebookCache::with_capacity_bytes(one_book));
-    let mut engine = FlatEngine::with_cache(Arc::clone(&bounded));
+    let mut engine =
+        FlatEngine::with_cache_and_backend(Arc::clone(&bounded), GemmBackendKind::from_env());
     for (f, want) in frames.iter().zip(&reference) {
         let got = engine.run_stack_q(f, &layers).expect("bounded stack runs");
         assert_eq!(
