@@ -12,7 +12,9 @@ test:
 
 # The CI gate: offline, lockfile-pinned build + tests + lint-clean, the
 # repository benchmark package (perfbench/) built and tested, plus
-# a smoke run of the matching-reuse engine bench (asserts bit-identity of
+# the committed byte-identity fixtures re-run in the release build the
+# benchmark measures (debug builds add cross-check code that release
+# never runs), a smoke run of the matching-reuse engine bench (asserts bit-identity of
 # the flat path and writes the gitignored BENCH_sscn.smoke.json; the
 # committed full-mode BENCH_sscn.json stays untouched) and a seeded smoke chaos
 # campaign on the resilient streaming path (replayable summary lands in
@@ -38,6 +40,7 @@ test:
 verify:
 	cargo build --workspace --release --locked --offline
 	cargo test --workspace -q --locked --offline
+	cargo test --release -q --locked --offline -p esca --test sim_vectors --test pipeline_trace --test stream_digest --test fixture_vectors
 	cargo test --release -q --locked --offline --manifest-path perfbench/Cargo.toml
 	ESCA_GEMM_BACKEND=scalar cargo test -q --locked --offline -p esca-sscn --test gemm_backends -p esca --test chaos_streaming -p esca-suite --test parallel_equivalence --test streaming_determinism --test observability --test snapshot_merge_laws
 	ESCA_GEMM_BACKEND=blocked cargo test -q --locked --offline -p esca-sscn --test gemm_backends -p esca --test chaos_streaming -p esca-suite --test parallel_equivalence --test streaming_determinism --test observability --test snapshot_merge_laws

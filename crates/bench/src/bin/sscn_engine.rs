@@ -122,6 +122,42 @@ struct PlanJson {
     match_cycles_planned: u64,
 }
 
+/// One layer of the simulator section: the cycle simulator's host cost
+/// per simulated pipeline cycle, beside the flat engine's time for the
+/// same layer on the same input (both best-of-reps, summed over frames,
+/// reported per frame).
+#[derive(Debug, Serialize)]
+struct SimLayerJson {
+    layer: usize,
+    in_ch: usize,
+    out_ch: usize,
+    /// Simulated pipeline cycles per frame (the per-tile cycle loops).
+    pipeline_cycles: u64,
+    /// Host time of one untraced `Esca::run_layer` per frame.
+    sim_ms: f64,
+    mcycles_per_s: f64,
+    ns_per_pipeline_cycle: f64,
+    /// Host time of `FlatEngine::subconv_q` on the same input per frame.
+    flat_ms: f64,
+    sim_over_flat: f64,
+}
+
+/// Cycle-simulator section: untraced `Esca::run_layer` over the 3-layer
+/// streaming stack on one thread, per layer and in total, with the flat
+/// engine timed on the same layers in the same process.
+#[derive(Debug, Serialize)]
+struct SimulatorJson {
+    frames: usize,
+    reps: usize,
+    layers: Vec<SimLayerJson>,
+    pipeline_cycles: u64,
+    sim_ms: f64,
+    mcycles_per_s: f64,
+    ns_per_pipeline_cycle: f64,
+    flat_ms: f64,
+    sim_over_flat: f64,
+}
+
 #[derive(Debug, Serialize)]
 struct GridJson {
     grid_side: u32,
@@ -136,6 +172,7 @@ struct GridJson {
     per_level: Vec<LevelJson>,
     streaming: StreamingJson,
     geometry_plan: PlanJson,
+    simulator: SimulatorJson,
 }
 
 #[derive(Debug, Serialize)]
@@ -389,6 +426,7 @@ fn bench_grid(grid_side: u32, n_samples: usize, reps: usize, smoke: bool) -> Gri
 
     let streaming = bench_streaming(grid_side, &seeds, smoke);
     let geometry_plan = bench_plan(grid_side, &seeds, smoke);
+    let simulator = bench_simulator(grid_side, &seeds, smoke);
 
     GridJson {
         grid_side,
@@ -403,6 +441,7 @@ fn bench_grid(grid_side: u32, n_samples: usize, reps: usize, smoke: bool) -> Gri
         per_level,
         streaming,
         geometry_plan,
+        simulator,
     }
 }
 
@@ -568,6 +607,114 @@ fn bench_plan(grid_side: u32, seeds: &[u64], smoke: bool) -> PlanJson {
         resident_frames,
         match_cycles_baseline,
         match_cycles_planned,
+    }
+}
+
+/// The cycle simulator against the flat engine, layer by layer: every
+/// frame of a rotating-object stream runs the 3-layer streaming stack
+/// through untraced `Esca::run_layer` on this thread, and the same layer
+/// inputs through a fresh blocked-backend [`FlatEngine`] per frame (its
+/// first layer builds the frame's rulebook, the later ones reuse it).
+/// Both outputs are asserted bit-identical; times are best-of-reps per
+/// frame and layer.
+fn bench_simulator(grid_side: u32, seeds: &[u64], smoke: bool) -> SimulatorJson {
+    let stack = workloads::streaming_stack(3);
+    let (n_frames, reps) = if smoke { (2, 2) } else { (4, 5) };
+    let frames = workloads::streaming_frames(seeds[0], n_frames, grid_side, &stack);
+    let esca = Esca::new(EscaConfig::default()).expect("valid config");
+    let n_layers = stack.len();
+    let mut sim_best = vec![vec![f64::INFINITY; n_layers]; n_frames];
+    let mut flat_best = vec![vec![f64::INFINITY; n_layers]; n_frames];
+    let mut cycles = vec![0u64; n_layers];
+    for rep in 0..reps {
+        for (fi, frame) in frames.iter().enumerate() {
+            let mut engine = FlatEngine::with_backend(GemmBackendKind::Blocked);
+            let mut x = frame.clone();
+            for (li, (w, relu)) in stack.iter().enumerate() {
+                let t0 = Instant::now();
+                let run = esca.run_layer(&x, w, *relu).expect("runs");
+                sim_best[fi][li] = sim_best[fi][li].min(t0.elapsed().as_secs_f64() * 1e3);
+
+                let t0 = Instant::now();
+                let flat = engine.subconv_q(&x, w, *relu).expect("runs");
+                flat_best[fi][li] = flat_best[fi][li].min(t0.elapsed().as_secs_f64() * 1e3);
+
+                assert_eq!(run.output.coords(), flat.coords());
+                assert_eq!(
+                    run.output.features(),
+                    flat.features(),
+                    "cycle simulator diverged from the flat engine"
+                );
+                if rep == 0 {
+                    cycles[li] += run.stats.pipeline_cycles;
+                }
+                x = run.output;
+            }
+        }
+    }
+
+    let per_frame = |ms: f64| ms / n_frames as f64;
+    let summary = |cycles: u64, sim_ms: f64, flat_ms: f64| {
+        let secs = sim_ms * 1e-3;
+        (
+            cycles as f64 / secs / 1e6,
+            secs * 1e9 / cycles as f64,
+            sim_ms / flat_ms,
+        )
+    };
+    println!("== simulator vs flat engine, {grid_side}^3, {n_frames} frames, best of {reps} ==");
+    let layers: Vec<SimLayerJson> = stack
+        .iter()
+        .enumerate()
+        .map(|(li, (w, _))| {
+            let sim_ms: f64 = sim_best.iter().map(|f| f[li]).sum();
+            let flat_ms: f64 = flat_best.iter().map(|f| f[li]).sum();
+            let (mcycles_per_s, ns_per_pipeline_cycle, sim_over_flat) =
+                summary(cycles[li], sim_ms, flat_ms);
+            println!(
+                "  layer {li} ({} -> {}): {} pipeline cycles, sim {:.3} ms \
+                 ({mcycles_per_s:.2} Mcycles/s, {ns_per_pipeline_cycle:.1} ns/cycle), \
+                 flat {:.3} ms ({sim_over_flat:.1}x)",
+                w.in_ch(),
+                w.out_ch(),
+                cycles[li] / n_frames as u64,
+                per_frame(sim_ms),
+                per_frame(flat_ms),
+            );
+            SimLayerJson {
+                layer: li,
+                in_ch: w.in_ch(),
+                out_ch: w.out_ch(),
+                pipeline_cycles: cycles[li] / n_frames as u64,
+                sim_ms: per_frame(sim_ms),
+                mcycles_per_s,
+                ns_per_pipeline_cycle,
+                flat_ms: per_frame(flat_ms),
+                sim_over_flat,
+            }
+        })
+        .collect();
+    let total_cycles: u64 = cycles.iter().sum();
+    let sim_ms: f64 = sim_best.iter().flatten().sum();
+    let flat_ms: f64 = flat_best.iter().flatten().sum();
+    let (mcycles_per_s, ns_per_pipeline_cycle, sim_over_flat) =
+        summary(total_cycles, sim_ms, flat_ms);
+    println!(
+        "  stack: sim {:.3} ms/frame ({mcycles_per_s:.2} Mcycles/s, \
+         {ns_per_pipeline_cycle:.1} ns/cycle), flat {:.3} ms/frame ({sim_over_flat:.1}x)",
+        per_frame(sim_ms),
+        per_frame(flat_ms),
+    );
+    SimulatorJson {
+        frames: n_frames,
+        reps,
+        layers,
+        pipeline_cycles: total_cycles / n_frames as u64,
+        sim_ms: per_frame(sim_ms),
+        mcycles_per_s,
+        ns_per_pipeline_cycle,
+        flat_ms: per_frame(flat_ms),
+        sim_over_flat,
     }
 }
 

@@ -22,7 +22,7 @@ use esca_sscn::engine::{FlatEngine, RulebookCache};
 use esca_sscn::gemm::GemmBackendKind;
 use esca_sscn::plan::PlanCache;
 use esca_sscn::quant::QuantizedWeights;
-use esca_tensor::{SparseTensor, Q16};
+use esca_tensor::{LineCsr, SparseTensor, Q16};
 use std::collections::VecDeque;
 use std::sync::Arc;
 
@@ -261,30 +261,49 @@ impl Esca {
         }
         debug_assert_eq!(next_group, input.nnz());
 
-        // --- Pass 2: the per-tile pipelined cycle loops.
-        let run_tiles = |tiles: &[esca_tensor::TileInfo], groups: &[usize], into: &mut LayerRun| {
+        // --- Pass 2: the per-tile pipelined cycle loops. Each closed
+        // group writes its output row at its centre's activation-buffer
+        // entry, so `out` ends in entry (raster) order.
+        let out_ch = weights.out_ch();
+        let mut out = vec![Q16(0); input.nnz() * out_ch];
+        let run_tiles = |tiles: &[esca_tensor::TileInfo],
+                         groups: &[usize],
+                         into: &mut LayerRun,
+                         out: &mut [Q16]| {
+            // One core, one SDMU and one group queue serve all the
+            // shard's tiles: each is free or rewound between tiles.
             let mut cc =
                 ComputingCore::new(weights, self.cfg.ic_parallel, self.cfg.oc_parallel, relu);
+            let mut sdmu = TileSdmu::new(
+                &enc,
+                self.cfg.kernel,
+                self.cfg.fifo_depth,
+                self.cfg.pipeline_fill_cycles,
+            );
+            let mut group_queue = VecDeque::new();
             for (info, &first) in tiles.iter().zip(groups) {
-                let next = self.run_tile(&enc, info, &grid, &mut cc, first, resident, into);
-                debug_assert_eq!(next, first + info.nnz);
+                sdmu.start_tile(info, first);
+                self.run_tile(&mut sdmu, &mut group_queue, &mut cc, resident, into, out);
+                debug_assert_eq!(sdmu.next_group(), first + info.nnz);
             }
         };
         let shards = shards.clamp(1, active.len().max(1));
         if shards == 1 {
-            run_tiles(active, &first_groups, &mut run);
+            run_tiles(active, &first_groups, &mut run, &mut out);
         } else {
             let chunk = active.len().div_ceil(shards);
             let (run_tiles, empty_run) = (&run_tiles, &empty_run);
-            let parts: Vec<LayerRun> = crossbeam::scope(|s| {
+            let rows = out.len();
+            let parts: Vec<(LayerRun, Vec<Q16>)> = crossbeam::scope(|s| {
                 let handles: Vec<_> = active
                     .chunks(chunk)
                     .zip(first_groups.chunks(chunk))
                     .map(|(tiles, groups)| {
                         s.spawn(move |_| {
                             let mut part = empty_run();
-                            run_tiles(tiles, groups, &mut part);
-                            part
+                            let mut part_out = vec![Q16(0); rows];
+                            run_tiles(tiles, groups, &mut part, &mut part_out);
+                            (part, part_out)
                         })
                     })
                     .collect();
@@ -294,14 +313,14 @@ impl Esca {
                     .collect()
             })
             .expect("tile shard scope panicked");
-            for part in parts {
+            for (part, part_out) in parts {
                 run.stats += &part.stats;
                 run.telemetry.merge(&part.telemetry);
                 run.trace.extend(&part.trace);
-                for (c, feats) in part.output.iter() {
-                    run.output
-                        .insert(c, feats)
-                        .expect("centre lies in the grid");
+                // Every centre lies in exactly one shard's tiles, so each
+                // output value is written by one shard and zero in the rest.
+                for (dst, src) in out.iter_mut().zip(&part_out) {
+                    dst.0 |= src.0;
                 }
             }
         }
@@ -331,47 +350,37 @@ impl Esca {
             run.telemetry.buffers.push(buf.telemetry());
         }
 
-        run.output.canonicalize();
+        run.output = entry_order_tensor(input, enc.lines(), out_ch, out);
         Ok(run)
     }
 
     /// The per-tile cycle loop: SDMU (scan ∥ fetch) and CC advance each
-    /// cycle, coupled through the FIFO group, accumulating into `run`.
-    /// Returns the next free match group ordinal.
+    /// cycle, coupled through the FIFO group, accumulating into `run`'s
+    /// counters and writing each group's output row into `out` at its
+    /// centre's activation-buffer entry. `sdmu` must have been started on
+    /// the tile; `group_queue` is empty scratch, handed back empty.
     ///
     /// With `resident` set, the matching work product is already on chip:
     /// the scan/fetch stages still *execute* (they are what produces the
     /// match stream, so outputs stay bit-identical) but charge no cycles,
     /// no stalls and no scan-side telemetry — only cycles in which the
     /// computing-core stage advanced count toward `pipeline_cycles`.
-    #[allow(clippy::too_many_arguments)]
     fn run_tile(
         &self,
-        enc: &EncodedFeatureMap,
-        info: &esca_tensor::TileInfo,
-        grid: &esca_tensor::TileGrid,
+        sdmu: &mut TileSdmu<'_>,
+        group_queue: &mut VecDeque<MatchGroupDesc>,
         cc: &mut ComputingCore<'_>,
-        first_group: usize,
         resident: bool,
         run: &mut LayerRun,
-    ) -> usize {
+        out: &mut [Q16],
+    ) {
         let LayerRun {
-            output,
             stats,
             trace,
             telemetry: tele,
+            ..
         } = run;
-        let mut sdmu = TileSdmu::new(
-            enc,
-            info,
-            grid.shape(),
-            grid.extent(),
-            self.cfg.kernel,
-            self.cfg.fifo_depth,
-            self.cfg.pipeline_fill_cycles,
-            first_group,
-        );
-        let mut group_queue: VecDeque<MatchGroupDesc> = VecDeque::new();
+        let enc = sdmu.encoded();
         let mut current_desc: Option<MatchGroupDesc> = None;
         let mut dispatched = 0usize;
         let mut drain_remaining = 0u64;
@@ -382,8 +391,9 @@ impl Esca {
         let mut compute_cycles = 0u64;
         // Generous safety bound: every site and match costs a bounded
         // number of cycles; exceeding this indicates a simulator bug.
-        let cycle_guard =
-            1000 * grid.shape().volume() + 64 * (info.nnz as u64 + 8) * cc.match_cycles() + 100_000;
+        let cycle_guard = 1000 * enc.tiles().grid().shape().volume()
+            + 64 * (sdmu.tile().nnz as u64 + 8) * cc.match_cycles()
+            + 100_000;
 
         loop {
             let mut idle = true;
@@ -399,7 +409,7 @@ impl Esca {
                 idle = false;
             } else if let Some(desc) = current_desc {
                 if dispatched < desc.total_matches {
-                    if let Some(m) = sdmu.fifos.pop_for_group(desc.group) {
+                    if let Some(m) = sdmu.fifos.pop_for_group(desc.group, cycle) {
                         let features = enc.lines().entry_features(m.entry);
                         cc.dispatch(m, features, cycle, stats, tele, trace);
                         // The dispatch cycle is the first busy cycle.
@@ -411,9 +421,8 @@ impl Esca {
                     }
                 } else {
                     let (feats, drain) = cc.close_group(cycle, stats, trace);
-                    output
-                        .insert(desc.centre, feats)
-                        .expect("centre lies in the grid");
+                    out[desc.entry * feats.len()..(desc.entry + 1) * feats.len()]
+                        .copy_from_slice(feats);
                     drain_remaining = drain;
                     tele.drain_cycles += 1;
                     current_desc = None;
@@ -485,9 +494,6 @@ impl Esca {
                 }
             }
 
-            if !resident {
-                tele.sample_fifos(&sdmu.fifos);
-            }
             if cc_active {
                 compute_cycles += 1;
             }
@@ -522,9 +528,9 @@ impl Esca {
             stats.peak_fifo_occupancy = stats
                 .peak_fifo_occupancy
                 .max(sdmu.fifos.peak_occupancy() as u64);
-            tele.record_fifo_totals(&sdmu.fifos);
+            sdmu.fifos.fold_occupancy(cycle);
+            tele.record_fifo_totals(&sdmu.fifos, cycle);
         }
-        sdmu.next_group()
     }
 
     /// Convenience wrapper: quantizes a float input and float weights with
@@ -677,6 +683,31 @@ impl Esca {
         }
         Ok(out)
     }
+}
+
+/// The layer output: `feats` holds one `out_ch` row per input site in
+/// activation-buffer entry order, which is raster order (lines x-major,
+/// then y, z ascending within a line). A canonical input lends its
+/// coordinates and index as they are; any other storage order takes the
+/// coordinates from the line CSR.
+fn entry_order_tensor(
+    input: &SparseTensor<Q16>,
+    lines: &LineCsr<Q16>,
+    out_ch: usize,
+    feats: Vec<Q16>,
+) -> SparseTensor<Q16> {
+    let e = input.extent();
+    let canonical = input
+        .coords()
+        .windows(2)
+        .all(|w| e.linear_unchecked(w[0]) < e.linear_unchecked(w[1]));
+    if canonical {
+        SparseTensor::from_template(input, out_ch, feats)
+    } else {
+        let coords = (0..lines.len()).map(|i| lines.entry_coord(i)).collect();
+        SparseTensor::from_coord_features(e, out_ch, coords, feats)
+    }
+    .expect("one output row per input site")
 }
 
 #[cfg(test)]
@@ -893,6 +924,23 @@ mod tests {
             .unwrap();
         assert_eq!(via_cfg.stats, resident.stats);
         assert!(via_cfg.output.same_content(&resident.output));
+    }
+
+    #[test]
+    fn output_is_canonical_for_any_input_storage_order() {
+        let qin = random_qinput(23, 12, 2, 120);
+        let ch = qin.channels();
+        let coords: Vec<Coord3> = qin.coords().iter().rev().copied().collect();
+        let feats: Vec<Q16> = qin.features().chunks(ch).rev().flatten().copied().collect();
+        let reversed = SparseTensor::from_coord_features(qin.extent(), ch, coords, feats).unwrap();
+        assert_ne!(reversed.coords(), qin.coords());
+        let qw = QuantizedWeights::auto(&ConvWeights::seeded(3, ch, 8, 4), 8, 10).unwrap();
+        let acc = esca();
+        let a = acc.run_layer(&qin, &qw, true).unwrap();
+        let b = acc.run_layer(&reversed, &qw, true).unwrap();
+        assert_eq!(b.output.coords(), a.output.coords());
+        assert_eq!(b.output.features(), a.output.features());
+        assert_eq!(b.stats, a.stats);
     }
 
     #[test]

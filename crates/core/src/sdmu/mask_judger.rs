@@ -8,6 +8,10 @@
 //! (they are the `mask_in` inputs of the per-column accumulators), so one
 //! mask-buffer read per cycle feeds both consumers — matching the paper's
 //! single "read masks" step.
+//!
+//! The simulator's scan stage reads the same bits from its line register
+//! (see [`crate::sdmu`]); debug builds run this judger beside it at every
+//! site and assert that both reach the same verdict.
 
 use esca_tensor::{Coord3, KernelOffsets, OccupancyMask};
 

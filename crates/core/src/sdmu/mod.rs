@@ -14,6 +14,20 @@
 //! The MUX then drains the FIFOs in column order, one match per cycle,
 //! toward the computing core. [`TileSdmu`] exposes exactly these steps to
 //! the main controller's cycle loop.
+//!
+//! **The line register.** As in the paper's datapath, a scan line's mask
+//! bits sit in a register: for a tile spanning z in `[z0, z1]`, each
+//! line's fill loads, per column, the bits for z in `[z0 − r − 1, z1 + r]`
+//! and the global CSR index of the line's first entry at or past
+//! `z0 − r − 1`. Judging a site is one shift of the centre column's
+//! register. The running accumulator `A` after the window's trailing edge
+//! reaches `z + r` is the popcount of the register bits up to `z + r`, and
+//! `A − B` the popcount up to `z − r − 1`, so the fragment `(A−B, A]`
+//! comes from two popcounts per column at an active centre and nothing is
+//! stepped per site. Debug builds also run the paper's per-site judger
+//! and stepped `(A, B)` accumulators ([`mask_judger`], [`state_index`])
+//! and assert that they agree with the register at every site, and with
+//! [`esca_tensor::LineCsr::window`] at every active centre.
 
 pub mod fifo;
 pub mod mask_judger;
@@ -21,7 +35,7 @@ pub mod state_index;
 
 use crate::encode::EncodedFeatureMap;
 use crate::trace::{PipelineTrace, SpanDetail, Stage};
-use esca_tensor::{Coord3, Extent3, KernelOffsets, TileInfo, TileShape};
+use esca_tensor::{Coord3, KernelOffsets, TileInfo};
 use fifo::FifoGroup;
 use mask_judger::MaskJudger;
 use state_index::StateIndexGen;
@@ -49,6 +63,9 @@ pub struct MatchGroupDesc {
     pub group: usize,
     /// The active centre site.
     pub centre: Coord3,
+    /// The centre's own global activation-buffer entry (its index in
+    /// the line CSR), where the group's output row is written.
+    pub entry: usize,
     /// Total matches the group contains (≥ 1: the centre matches itself).
     pub total_matches: usize,
 }
@@ -80,8 +97,8 @@ pub enum FetchOutcome {
 
 /// Pending fetch jobs the scan stage may run ahead of the fetch stage —
 /// the finite descriptor storage of the hardware. The main controller
-/// stops scanning while this many jobs are pending, so the per-tile job
-/// storage is sized once and never grows in the cycle loop.
+/// stops scanning while this many jobs are pending, so the job storage is
+/// sized once and never grows in the cycle loop.
 pub const RUN_AHEAD_JOBS: usize = 4;
 
 /// A pending fetch job: the address fragments of one active SRF.
@@ -89,82 +106,172 @@ pub const RUN_AHEAD_JOBS: usize = 4;
 struct FetchJob {
     group: usize,
     centre: Coord3,
-    /// Slot in [`TileSdmu::fragments`] holding the per-column ranges.
+    /// Slot in [`TileSdmu::fragments`] and [`TileSdmu::live`].
     slot: usize,
     /// Entries still to push, over all columns.
     left: usize,
 }
 
-/// The per-tile SDMU state machine.
+/// The paper's per-site datapath — the mask judger feeding the stepped
+/// `(A, B)` accumulators — run beside the line register in debug builds
+/// as an independent cross-check.
+#[derive(Debug)]
+struct StepModel {
+    judger: MaskJudger,
+    column_bits: Vec<(bool, bool)>,
+    state_index: StateIndexGen,
+}
+
+/// Popcount of the register bits at positions `[0, n)`.
+#[inline]
+fn prefix_ones(reg: &[u64], n: usize) -> usize {
+    let (full, rem) = (n / 64, n % 64);
+    let mut ones: usize = reg[..full].iter().map(|w| w.count_ones() as usize).sum();
+    if rem > 0 {
+        ones += (reg[full] & ((1u64 << rem) - 1)).count_ones() as usize;
+    }
+    ones
+}
+
+/// The SDMU state machine. One instance serves every tile of a layer
+/// run: [`TileSdmu::start_tile`] rewinds it, so its register, job and
+/// FIFO storage is allocated once per layer, not once per tile.
 #[derive(Debug)]
 pub struct TileSdmu<'a> {
     enc: &'a EncodedFeatureMap,
-    offsets: KernelOffsets,
-    judger: MaskJudger,
-    /// Scan order: every site of the box `[lo, hi]`, (x, y) line-major,
-    /// z fastest; `pos` is the next site to scan (past `hi.x` when done).
-    lo: Coord3,
+    k: usize,
+    r: i32,
+    /// `(dx, dy)` of each kernel column.
+    column_xy: Vec<(i32, i32)>,
+    /// The `(0, 0)` column, whose register bits are the judge verdicts.
+    centre_column: usize,
+    /// The tile being scanned. Scan order: every site of the box
+    /// `[tile.origin, hi]`, (x, y) line-major, z fastest; `pos` is the next
+    /// site to scan (past `hi.x` when done).
+    tile: TileInfo,
     hi: Coord3,
     pos: Coord3,
     fill_remaining: u64,
     pipeline_fill: u64,
     line_start: bool,
-    /// The K² (in, out) mask bits of the slice judged this cycle.
-    column_bits: Vec<(bool, bool)>,
-    state_index: StateIndexGen,
+    /// The line register: per column, `reg_words` words holding the mask
+    /// bits of z in `[z_base, hi.z + r]` (bit `z − z_base`).
+    line_reg: Vec<u64>,
+    reg_words: usize,
+    /// `tile.origin.z − r − 1`: one site before the first window's
+    /// leading edge.
+    z_base: i32,
+    /// Per column: global CSR index of the line's first entry at or past
+    /// `z_base`.
+    line_first: Vec<usize>,
+    /// The `(x, y)` line the register holds, if any, in this tile.
+    loaded: Option<(i32, i32)>,
     jobs: VecDeque<FetchJob>,
     /// Per job slot, per column: the remaining global entry range to
     /// push (slot-major, K² ranges per slot).
     fragments: Vec<Range<usize>>,
+    /// Per job slot: bitset of the columns whose range is not yet
+    /// exhausted (`live_words` words per slot).
+    live: Vec<u64>,
+    live_words: usize,
     free_slots: Vec<usize>,
     /// The K² match FIFOs.
     pub fifos: FifoGroup,
     next_group: usize,
     // counters
-    mask_bits_read: u64,
     act_reads: u64,
     scanned: u64,
+    /// Present in debug builds only.
+    check: Option<StepModel>,
 }
 
 impl<'a> TileSdmu<'a> {
-    /// Creates the SDMU state machine for one active tile.
-    ///
-    /// `first_group` is the match-group ordinal to assign to the tile's
-    /// first active centre (groups number consecutively across tiles).
-    #[allow(clippy::too_many_arguments)] // mirrors the hardware unit's ports
+    /// Creates the SDMU for one layer run over `enc`, sized for the
+    /// encoding's tile shape; call [`TileSdmu::start_tile`] before
+    /// scanning each tile.
     pub fn new(
         enc: &'a EncodedFeatureMap,
-        tile: &TileInfo,
-        shape: TileShape,
-        extent: Extent3,
         kernel: u32,
         fifo_depth: usize,
         pipeline_fill: u64,
-        first_group: usize,
     ) -> Self {
         let offsets = KernelOffsets::new(kernel);
         let columns = offsets.columns();
+        let grid = enc.tiles().grid();
+        let r = offsets.radius();
+        let reg_words = (grid.shape().l as usize + 2 * r as usize + 1).div_ceil(64);
+        let live_words = columns.div_ceil(64);
+        let check = cfg!(debug_assertions).then(|| StepModel {
+            judger: MaskJudger::new(kernel),
+            column_bits: vec![(false, false); columns],
+            state_index: StateIndexGen::new(columns),
+        });
         TileSdmu {
             enc,
-            offsets,
-            judger: MaskJudger::new(kernel),
-            lo: tile.origin,
-            hi: tile.max_corner(shape, extent),
-            pos: tile.origin,
+            k: kernel as usize,
+            r,
+            column_xy: (0..columns).map(|c| offsets.column_offset(c)).collect(),
+            centre_column: columns / 2,
+            tile: TileInfo {
+                index: 0,
+                origin: Coord3::new(0, 0, 0),
+                nnz: 0,
+            },
+            hi: Coord3::new(-1, -1, -1),
+            pos: Coord3::new(0, 0, 0),
             fill_remaining: 0,
             pipeline_fill,
             line_start: true,
-            column_bits: vec![(false, false); columns],
-            state_index: StateIndexGen::new(columns),
+            line_reg: vec![0; columns * reg_words],
+            reg_words,
+            z_base: 0,
+            line_first: vec![0; columns],
+            loaded: None,
             jobs: VecDeque::with_capacity(RUN_AHEAD_JOBS),
             fragments: vec![0..0; RUN_AHEAD_JOBS * columns],
-            free_slots: (0..RUN_AHEAD_JOBS).rev().collect(),
+            live: vec![0; RUN_AHEAD_JOBS * live_words],
+            live_words,
+            free_slots: Vec::with_capacity(RUN_AHEAD_JOBS),
             fifos: FifoGroup::new(columns, fifo_depth),
-            next_group: first_group,
-            mask_bits_read: 0,
+            next_group: 0,
             act_reads: 0,
             scanned: 0,
+            check,
         }
+    }
+
+    /// Rewinds the SDMU onto one active tile: scan position, job slots,
+    /// FIFOs and counters start afresh.
+    ///
+    /// `first_group` is the match-group ordinal to assign to the tile's
+    /// first active centre (groups number consecutively across tiles).
+    pub fn start_tile(&mut self, tile: &TileInfo, first_group: usize) {
+        self.tile = *tile;
+        let grid = self.enc.tiles().grid();
+        self.hi = tile.max_corner(grid.shape(), grid.extent());
+        self.pos = tile.origin;
+        self.z_base = tile.origin.z - self.r - 1;
+        self.loaded = None;
+        self.fill_remaining = 0;
+        self.line_start = true;
+        self.jobs.clear();
+        self.free_slots.clear();
+        self.free_slots
+            .extend((0..self.fragments.len() / self.column_xy.len()).rev());
+        self.fifos.reset();
+        self.next_group = first_group;
+        self.act_reads = 0;
+        self.scanned = 0;
+    }
+
+    /// The tile the SDMU was last started on.
+    pub(crate) fn tile(&self) -> &TileInfo {
+        &self.tile
+    }
+
+    /// The encoded feature map the SDMU matches over.
+    pub(crate) fn encoded(&self) -> &'a EncodedFeatureMap {
+        self.enc
     }
 
     /// Whether every site of the tile has been scanned.
@@ -177,9 +284,10 @@ impl<'a> TileSdmu<'a> {
         self.jobs.len()
     }
 
-    /// Index-mask bits read so far.
+    /// Index-mask bits read so far: the K² column bits of every scanned
+    /// z-slice.
     pub fn mask_bits_read(&self) -> u64 {
-        self.mask_bits_read
+        self.scanned * self.column_xy.len() as u64
     }
 
     /// Activation-buffer entry reads so far.
@@ -204,17 +312,16 @@ impl<'a> TileSdmu<'a> {
             return ScanOutcome::Done;
         }
         let centre = self.pos;
-        let r = self.offsets.radius();
 
-        // New (x, y) line: preload the column accumulators (the hardware
-        // does this during the pipeline-fill cycles).
+        // New (x, y) line: load the line register (the hardware does this
+        // during the pipeline-fill cycles).
         if self.line_start {
             if self.fill_remaining == 0 && self.pipeline_fill > 0 {
                 self.fill_remaining = self.pipeline_fill;
-                self.preload_line(centre);
+                self.load_line(centre);
                 // fall through to consume the first fill cycle below
             } else if self.pipeline_fill == 0 {
-                self.preload_line(centre);
+                self.load_line(centre);
                 self.line_start = false;
             }
             if self.fill_remaining > 0 {
@@ -234,66 +341,25 @@ impl<'a> TileSdmu<'a> {
             }
         }
 
-        // Read masks + judge: one new z-slice of K² bits enters the SRF
-        // window, and the centre verdict decides whether to match.
-        let centre_active = self
-            .judger
-            .judge(self.enc.mask(), centre, &mut self.column_bits);
-        self.state_index.step(&self.column_bits);
-        self.mask_bits_read += self.offsets.columns() as u64;
+        // Read masks + judge: the centre column's register bit at z.
+        let p = (centre.z - self.z_base) as usize;
+        let bit = self.centre_column * self.reg_words * 64 + p;
+        let centre_active = (self.line_reg[bit / 64] >> (bit % 64)) & 1 == 1;
         self.scanned += 1;
+        if let Some(check) = &mut self.check {
+            let judged = check
+                .judger
+                .judge(self.enc.mask(), centre, &mut check.column_bits);
+            assert_eq!(judged, centre_active, "line register judge at {centre}");
+            check.state_index.step(&check.column_bits);
+        }
         let srf = SpanDetail::Srf(centre);
         trace.record(cycle, Stage::ReadMasks, srf);
         trace.record(cycle, Stage::JudgeState, srf);
 
         let outcome = if centre_active {
             trace.record(cycle, Stage::GenStateIndex, srf);
-            let columns = self.offsets.columns();
-            let slot = self.free_slots.pop().unwrap_or_else(|| {
-                // Only a caller that ignores `RUN_AHEAD_JOBS` gets here.
-                self.fragments.resize(self.fragments.len() + columns, 0..0);
-                self.fragments.len() / columns - 1
-            });
-            let fragments = &mut self.fragments[slot * columns..(slot + 1) * columns];
-            let mut total = 0usize;
-            for (col, fragment) in fragments.iter_mut().enumerate() {
-                let (dx, dy) = self.offsets.column_offset(col);
-                let w = self.enc.lines().window(
-                    centre.x + dx,
-                    centre.y + dy,
-                    centre.z - r,
-                    centre.z + r + 1,
-                );
-                // Hardware/functional cross-check: the running (A, B)
-                // accumulator addresses exactly the CSR window.
-                debug_assert_eq!(
-                    self.state_index.column(col).b(),
-                    w.len(),
-                    "state index B disagrees with CSR window at {centre} col {col}"
-                );
-                debug_assert_eq!(
-                    self.state_index.column(col).a(),
-                    self.enc
-                        .lines()
-                        .prefix_count(centre.x + dx, centre.y + dy, centre.z + r),
-                    "state index A disagrees with CSR prefix at {centre} col {col}"
-                );
-                total += w.len();
-                *fragment = w.global_range();
-            }
-            let desc = MatchGroupDesc {
-                group: self.next_group,
-                centre,
-                total_matches: total,
-            };
-            self.jobs.push_back(FetchJob {
-                group: self.next_group,
-                centre,
-                slot,
-                left: total,
-            });
-            self.next_group += 1;
-            ScanOutcome::Scanned(Some(desc))
+            ScanOutcome::Scanned(Some(self.enqueue_job(centre, p)))
         } else {
             ScanOutcome::Scanned(None)
         };
@@ -301,34 +367,142 @@ impl<'a> TileSdmu<'a> {
         // Advance (z fastest, then y, then x); a wrapped z starts a line.
         self.pos.z += 1;
         if self.pos.z > self.hi.z {
-            self.pos.z = self.lo.z;
+            self.pos.z = self.tile.origin.z;
             self.pos.y += 1;
             if self.pos.y > self.hi.y {
-                self.pos.y = self.lo.y;
+                self.pos.y = self.tile.origin.y;
                 self.pos.x += 1;
             }
             if !self.scan_done() {
                 self.line_start = true;
-                self.state_index.reset();
             }
         }
         outcome
     }
 
-    /// Preloads the column accumulators for the line containing `centre`
-    /// (its first site), so the windows are primed when scanning starts.
-    fn preload_line(&mut self, first: Coord3) {
-        let r = self.offsets.radius();
-        self.state_index.reset();
-        for col in 0..self.offsets.columns() {
-            let (dx, dy) = self.offsets.column_offset(col);
-            let (lx, ly) = (first.x + dx, first.y + dy);
-            // Before the first step at z = first.z, the accumulators must
+    /// Generates the state index of the active centre at register
+    /// position `p`: per column, the fragment `(A−B, A]` from two register
+    /// popcounts, queued as one fetch job.
+    fn enqueue_job(&mut self, centre: Coord3, p: usize) -> MatchGroupDesc {
+        let columns = self.column_xy.len();
+        let words = self.reg_words;
+        let r = self.r as usize;
+        let slot = self.free_slots.pop().unwrap_or_else(|| {
+            // Only a caller that ignores `RUN_AHEAD_JOBS` gets here.
+            self.fragments.resize(self.fragments.len() + columns, 0..0);
+            self.live.resize(self.live.len() + self.live_words, 0);
+            self.fragments.len() / columns - 1
+        });
+        let fragments = &mut self.fragments[slot * columns..(slot + 1) * columns];
+        let live = &mut self.live[slot * self.live_words..(slot + 1) * self.live_words];
+        live.fill(0);
+        let mut total = 0usize;
+        for (col, fragment) in fragments.iter_mut().enumerate() {
+            let reg = &self.line_reg[col * words..(col + 1) * words];
+            let first = self.line_first[col];
+            // Window [z − r, z + r] is register positions [p − r, p + r].
+            let start = first + prefix_ones(reg, p - r);
+            let end = first + prefix_ones(reg, p + r + 1);
+            if end > start {
+                live[col / 64] |= 1 << (col % 64);
+                total += end - start;
+            }
+            *fragment = start..end;
+        }
+        // The centre's own entry: the line's entries before z.
+        let c = self.centre_column;
+        let centre_reg = &self.line_reg[c * words..(c + 1) * words];
+        let entry = self.line_first[c] + prefix_ones(centre_reg, p);
+        if let Some(check) = &self.check {
+            let lines = self.enc.lines();
+            assert_eq!(
+                entry,
+                lines.first_at_or_past(centre.x, centre.y, centre.z),
+                "centre entry at {centre}"
+            );
+            let r = self.r;
+            for (col, fragment) in fragments.iter().enumerate() {
+                let (dx, dy) = self.column_xy[col];
+                let (x, y) = (centre.x + dx, centre.y + dy);
+                let w = lines.window(x, y, centre.z - r, centre.z + r + 1);
+                assert_eq!(
+                    *fragment,
+                    w.global_range(),
+                    "register fragment vs CSR window at {centre} col {col}"
+                );
+                // Hardware/functional cross-check: the stepped (A, B)
+                // accumulator addresses exactly the same fragment.
+                let state = check.state_index.column(col);
+                assert_eq!(
+                    state.b(),
+                    fragment.len(),
+                    "state index B at {centre} col {col}"
+                );
+                assert_eq!(
+                    state.a(),
+                    fragment.end - lines.line_range(x, y).start,
+                    "state index A at {centre} col {col}"
+                );
+            }
+        }
+        let group = self.next_group;
+        self.jobs.push_back(FetchJob {
+            group,
+            centre,
+            slot,
+            left: total,
+        });
+        self.next_group += 1;
+        MatchGroupDesc {
+            group,
+            centre,
+            entry,
+            total_matches: total,
+        }
+    }
+
+    /// Loads the line register for the line whose first site is `first`.
+    /// The line after `(x, y − 1)` shares K(K − 1) column lines with it,
+    /// so each `dx` block of columns shifts down by one `dy` and only the
+    /// `dy = +r` column is read from the mask.
+    fn load_line(&mut self, first: Coord3) {
+        let (k, words) = (self.k, self.reg_words);
+        let len = (self.hi.z - self.z_base + self.r + 1) as usize;
+        let (mask, lines) = (self.enc.mask(), self.enc.lines());
+        let shift = self.loaded == Some((first.x, first.y - 1));
+        for block in (0..k).map(|bx| bx * k..(bx + 1) * k) {
+            let read = if shift {
+                self.line_first
+                    .copy_within(block.start + 1..block.end, block.start);
+                self.line_reg.copy_within(
+                    (block.start + 1) * words..block.end * words,
+                    block.start * words,
+                );
+                block.end - 1..block.end
+            } else {
+                block
+            };
+            for col in read {
+                let (dx, dy) = self.column_xy[col];
+                let (x, y) = (first.x + dx, first.y + dy);
+                let reg = &mut self.line_reg[col * words..(col + 1) * words];
+                mask.line_bits(x, y, self.z_base, len, reg);
+                self.line_first[col] = lines.first_at_or_past(x, y, self.z_base);
+            }
+        }
+        self.loaded = Some((first.x, first.y));
+        if let Some(check) = &mut self.check {
+            // Before the first step at z = first.z, the accumulators
             // reflect the window trailing edge at z + r − 1 and leading
             // edge past z − r − 2.
-            let a = self.enc.lines().prefix_count(lx, ly, first.z + r - 1);
-            let a_lead = self.enc.lines().prefix_count(lx, ly, first.z - r - 2);
-            self.state_index.preload(col, a, a_lead);
+            let r = self.r;
+            check.state_index.reset();
+            for (col, &(dx, dy)) in self.column_xy.iter().enumerate() {
+                let (x, y) = (first.x + dx, first.y + dy);
+                let a = lines.prefix_count(x, y, first.z + r - 1);
+                let a_lead = lines.prefix_count(x, y, first.z - r - 2);
+                check.state_index.preload(col, a, a_lead);
+            }
         }
     }
 
@@ -338,35 +512,47 @@ impl<'a> TileSdmu<'a> {
         let Some(job) = self.jobs.front_mut() else {
             return FetchOutcome::Idle;
         };
-        let columns = self.fifos.columns();
+        let columns = self.column_xy.len();
         let fragments = &mut self.fragments[job.slot * columns..(job.slot + 1) * columns];
+        let live = &mut self.live[job.slot * self.live_words..(job.slot + 1) * self.live_words];
+        let zs = self.enc.lines().zs();
         let mut pushes = 0u32;
         let mut blocked = false;
-        for (col, range) in fragments.iter_mut().enumerate() {
-            if range.start >= range.end {
-                continue;
+        for (wi, word) in live.iter_mut().enumerate() {
+            let mut bits = *word;
+            while bits != 0 {
+                let b = bits.trailing_zeros() as usize;
+                bits &= bits - 1;
+                let col = wi * 64 + b;
+                if !self.fifos.has_room(col) {
+                    blocked = true;
+                    continue;
+                }
+                let range = &mut fragments[col];
+                let entry = range.start;
+                range.start += 1;
+                if range.start == range.end {
+                    *word &= !(1 << b);
+                }
+                let dz = zs[entry] - job.centre.z;
+                assert!(
+                    dz.abs() <= self.r,
+                    "window entries lie within the kernel support"
+                );
+                self.fifos.push(
+                    col,
+                    MatchEntry {
+                        column: col,
+                        tap: col * self.k + (dz + self.r) as usize,
+                        entry,
+                        group: job.group,
+                    },
+                    cycle,
+                );
+                pushes += 1;
             }
-            if !self.fifos.fifo(col).has_room() {
-                blocked = true;
-                continue;
-            }
-            let entry = range.start;
-            range.start += 1;
-            let dz = self.enc.lines().zs()[entry] - job.centre.z;
-            let (dx, dy) = self.offsets.column_offset(col);
-            let tap = self
-                .offsets
-                .tap_index(Coord3::new(dx, dy, dz))
-                .expect("window entries lie within the kernel support");
-            self.fifos.fifo_mut(col).push(MatchEntry {
-                column: col,
-                tap,
-                entry,
-                group: job.group,
-            });
-            self.act_reads += 1;
-            pushes += 1;
         }
+        self.act_reads += pushes as u64;
         job.left -= pushes as usize;
         if pushes > 0 {
             trace.record(cycle, Stage::FetchActivations, SpanDetail::Group(job.group));
@@ -386,7 +572,7 @@ impl<'a> TileSdmu<'a> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use esca_tensor::{SparseTensor, Q16};
+    use esca_tensor::{Extent3, SparseTensor, TileShape, Q16};
 
     fn encoded(coords: &[(i32, i32, i32)]) -> EncodedFeatureMap {
         let mut t = SparseTensor::<Q16>::new(Extent3::cube(8), 1);
@@ -402,15 +588,19 @@ mod tests {
         enc: &EncodedFeatureMap,
         tile_idx: usize,
     ) -> (Vec<MatchGroupDesc>, Vec<MatchEntry>) {
-        let report = enc.tiles().clone();
-        let info = report
+        let info = enc
+            .tiles()
             .active()
             .iter()
             .find(|t| t.index == tile_idx)
             .copied()
             .expect("tile is active");
-        let grid = report.grid();
-        let mut sdmu = TileSdmu::new(enc, &info, grid.shape(), grid.extent(), 3, 64, 2, 0);
+        drive(&mut TileSdmu::new(enc, 3, 64, 2), &info)
+    }
+
+    /// Runs one tile to completion on `sdmu` (groups from 0).
+    fn drive(sdmu: &mut TileSdmu<'_>, info: &TileInfo) -> (Vec<MatchGroupDesc>, Vec<MatchEntry>) {
+        sdmu.start_tile(info, 0);
         let mut trace = PipelineTrace::new(false);
         let mut descs = Vec::new();
         let mut cycle = 0u64;
@@ -431,12 +621,32 @@ mod tests {
         }
         let mut matches = Vec::new();
         for d in &descs {
-            while let Some(m) = sdmu.fifos.pop_for_group(d.group) {
+            while let Some(m) = sdmu.fifos.pop_for_group(d.group, cycle) {
                 matches.push(m);
             }
         }
         assert!(sdmu.fifos.is_empty());
         (descs, matches)
+    }
+
+    #[test]
+    fn one_sdmu_serves_every_tile_like_a_fresh_one() {
+        let coords = [
+            (0, 0, 0),
+            (3, 3, 3),
+            (4, 3, 3),
+            (3, 4, 4),
+            (3, 3, 4),
+            (7, 7, 7),
+            (4, 4, 4),
+            (5, 2, 6),
+        ];
+        let enc = encoded(&coords);
+        let mut shared = TileSdmu::new(&enc, 3, 64, 2);
+        for info in enc.tiles().active() {
+            let fresh = drive(&mut TileSdmu::new(&enc, 3, 64, 2), info);
+            assert_eq!(drive(&mut shared, info), fresh, "tile {}", info.index);
+        }
     }
 
     #[test]
@@ -503,8 +713,8 @@ mod tests {
         t.canonicalize();
         let enc = EncodedFeatureMap::encode(&t, TileShape::cube(4)).unwrap();
         let info = enc.tiles().active()[0];
-        let grid = enc.tiles().grid();
-        let mut sdmu = TileSdmu::new(&enc, &info, grid.shape(), grid.extent(), 3, 1, 0, 0);
+        let mut sdmu = TileSdmu::new(&enc, 3, 1, 0);
+        sdmu.start_tile(&info, 0);
         let mut trace = PipelineTrace::new(false);
         let mut stalled = false;
         let mut cycle = 0;
@@ -527,8 +737,8 @@ mod tests {
     fn scan_counts_sites_and_mask_bits() {
         let enc = encoded(&[(0, 0, 0)]);
         let info = enc.tiles().active()[0];
-        let grid = enc.tiles().grid();
-        let mut sdmu = TileSdmu::new(&enc, &info, grid.shape(), grid.extent(), 3, 8, 2, 0);
+        let mut sdmu = TileSdmu::new(&enc, 3, 8, 2);
+        sdmu.start_tile(&info, 0);
         let mut trace = PipelineTrace::new(false);
         let mut cycle = 0;
         loop {

@@ -4,8 +4,10 @@
 //! count `B`. The address generator then emits the fragment `(A−B, A]`.
 //!
 //! The hardware maintains `A` with a simple adder fed by the incoming mask
-//! bits ("Acc" in Fig. 6); this model does the same, and the SDMU
-//! cross-checks it against the line-CSR prefix counts — hardware
+//! bits ("Acc" in Fig. 6); this model does the same. The simulator's scan
+//! stage takes `A` and `A − B` as popcounts of its line register instead
+//! (see [`crate::sdmu`]); debug builds step these accumulators beside it
+//! and assert that both agree with the line-CSR window — hardware
 //! addressing and functional addressing must agree bit-for-bit.
 
 use serde::{Deserialize, Serialize};

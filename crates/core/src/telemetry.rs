@@ -58,8 +58,9 @@ pub struct BufferTelemetry {
 pub struct LayerTelemetry {
     /// Per-FIFO highest occupancy (entries), indexed by column.
     pub fifo_peak: Vec<u64>,
-    /// Per-FIFO sum of occupancy sampled every pipeline cycle (the mean
-    /// is `sum / sampled_cycles`).
+    /// Per-FIFO sum of the occupancy at the end of every pipeline cycle
+    /// (the mean is `sum / sampled_cycles`), integrated at each push and
+    /// pop rather than sampled per cycle.
     pub fifo_occupancy_sum: Vec<u64>,
     /// Per-FIFO total pushes.
     pub fifo_pushes: Vec<u64>,
@@ -100,27 +101,19 @@ impl LayerTelemetry {
         }
     }
 
-    /// Samples every FIFO's current occupancy for one pipeline cycle.
-    pub fn sample_fifos(&mut self, fifos: &FifoGroup) {
-        self.ensure_fifos(fifos.columns());
-        for (slot, occ) in self.fifo_occupancy_sum.iter_mut().zip(fifos.occupancies()) {
-            *slot += occ as u64;
-        }
-        self.sampled_cycles += 1;
-    }
-
-    /// Folds a finished tile's per-FIFO peaks and push totals in.
-    pub fn record_fifo_totals(&mut self, fifos: &FifoGroup) {
+    /// Folds a finished tile's per-FIFO peaks, push totals and
+    /// integrated occupancy in; the tile ran `cycles` pipeline cycles, all
+    /// of which count as sampled. The FIFOs' occupancy must already be
+    /// folded up to `cycles`, the tile's end.
+    pub fn record_fifo_totals(&mut self, fifos: &FifoGroup, cycles: u64) {
         self.ensure_fifos(fifos.columns());
         for col in 0..fifos.columns() {
             let f = fifos.fifo(col);
-            if let Some(peak) = self.fifo_peak.get_mut(col) {
-                *peak = (*peak).max(f.peak() as u64);
-            }
-            if let Some(pushes) = self.fifo_pushes.get_mut(col) {
-                *pushes += f.pushes();
-            }
+            self.fifo_peak[col] = self.fifo_peak[col].max(f.peak() as u64);
+            self.fifo_pushes[col] += f.pushes();
+            self.fifo_occupancy_sum[col] += f.occupancy_area();
         }
+        self.sampled_cycles += cycles;
     }
 
     /// Records one scheduled match group's size.

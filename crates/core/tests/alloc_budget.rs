@@ -1,11 +1,12 @@
 //! Allocation budget of the untraced cycle simulator.
 //!
 //! The per-cycle path (scan, fetch, dispatch, drain) must not touch the
-//! heap: a layer run may allocate per active tile (the SDMU's state and
-//! FIFOs), a constant for the layer's set-up, and the output tensor's
-//! amortised growth as match groups drain into it — never per scanned
-//! site, per match or per cycle. A counting global allocator measures one
-//! untraced `run_layer`.
+//! heap, and neither may a new tile: the SDMU's registers, job slots and
+//! FIFOs are allocated once per layer and rewound between tiles, and
+//! match groups drain into an output buffer sized once for the layer. A
+//! layer run allocates a constant for its set-up — never per active
+//! tile, per match group, per scanned site, per match or per cycle. A
+//! counting global allocator measures one untraced `run_layer`.
 
 use esca::{Esca, EscaConfig};
 use esca_pointcloud::{synthetic, voxelize};
@@ -47,12 +48,11 @@ fn allocs() -> u64 {
     ALLOCS.with(Cell::get)
 }
 
-/// Allocations a layer may make per active tile: the SDMU's K² FIFOs and
-/// its fixed per-tile state (K = 3).
-const PER_TILE: u64 = 24;
-/// Match groups per allocation of the output tensor's amortised growth.
-const GROUPS_PER_ALLOC: u64 = 4;
-/// The layer's set-up: encoding, buffer models, telemetry.
+/// Allocations a layer may make per active tile: none, since the SDMU
+/// scratch is reused across tiles.
+const PER_TILE: u64 = 0;
+/// The layer's set-up: encoding, buffer models, telemetry, the output
+/// buffer and the SDMU scratch (its K² FIFOs and fixed state, K = 3).
 const PER_LAYER: u64 = 96;
 
 #[test]
@@ -79,7 +79,7 @@ fn untraced_layer_allocates_per_tile_and_group_not_per_cycle() {
         "workload too small to mean anything"
     );
     assert!(!run.trace.enabled());
-    let budget = PER_TILE * tiles + groups / GROUPS_PER_ALLOC + PER_LAYER;
+    let budget = PER_TILE * tiles + PER_LAYER;
     assert!(
         used <= budget,
         "{used} allocations for {tiles} active tiles, {groups} match groups and \

@@ -148,6 +148,7 @@ impl QuantizedWeights {
     /// The contiguous `in_ch × out_ch` row-major weight panel of one tap
     /// (see [`crate::weights::ConvWeights::tap_slice`]) — the per-tap
     /// GEMM operand a [`crate::gemm::GemmBackend`] consumes.
+    #[inline]
     pub fn tap_slice(&self, tap: usize) -> &[Q8] {
         let base = tap * self.in_ch * self.out_ch;
         &self.data[base..base + self.in_ch * self.out_ch]

@@ -57,6 +57,7 @@ impl Histogram {
     }
 
     /// Records one observation.
+    #[inline]
     pub fn observe(&mut self, v: u64) {
         self.count += 1;
         self.sum = self.sum.saturating_add(v);

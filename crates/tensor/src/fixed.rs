@@ -173,6 +173,7 @@ pub fn requantize(
 /// accumulate in i64 — 27 taps × 128 channels × |Q16×Q8| can exceed 32 bits
 /// — and both the golden model and the accelerator model share this exact
 /// rounding, so their outputs are bit-identical.
+#[inline]
 pub fn requantize_i64(
     acc: i64,
     act_params: QuantParams,

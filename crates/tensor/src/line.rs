@@ -153,6 +153,15 @@ impl<T: Copy> LineCsr<T> {
         zs.partition_point(|&zz| zz <= z)
     }
 
+    /// Global index of the first entry on line `(x, y)` with `z' ≥ z` (the
+    /// line's end when there is none). The line's entries from there on
+    /// sit at consecutive global indices in z order, so a mask-bit count
+    /// from `z` addresses them directly. Lines outside the grid are empty.
+    pub fn first_at_or_past(&self, x: i32, y: i32, z: i32) -> usize {
+        let r = self.line_range(x, y);
+        r.start + self.zs[r].partition_point(|&zz| zz < z)
+    }
+
     /// The window of entries on line `(x, y)` with `z0 ≤ z < z1` — one SRF
     /// column's match candidates. Lines outside the grid yield an empty
     /// window, which is how the zero halo behaves.
@@ -312,6 +321,21 @@ mod tests {
             let w = csr.window(2, 3, z, z + 3);
             assert_eq!(w.a_index(), csr.prefix_count(2, 3, z + 2));
             assert_eq!(w.len(), w.a_index() - csr.prefix_count(2, 3, z - 1));
+        }
+    }
+
+    #[test]
+    fn first_at_or_past_starts_every_window() {
+        let csr = build();
+        for (x, y) in [(2, 3), (0, 0), (7, 7), (4, 4), (-1, 2), (8, 0)] {
+            for z in -2..10 {
+                let w = csr.window(x, y, z, z + 3);
+                assert_eq!(
+                    csr.first_at_or_past(x, y, z),
+                    w.global_range().start,
+                    "({x}, {y}) z {z}"
+                );
+            }
         }
     }
 

@@ -72,6 +72,52 @@ impl OccupancyMask {
         (self.words[i / 64] >> (i % 64)) & 1 == 1
     }
 
+    /// Reads `len` bits of the line `(x, y)` starting at `z0` into `out`:
+    /// bit `i` (word `i / 64`, bit `i % 64`) is
+    /// [`OccupancyMask::get_or_empty`] at `(x, y, z0 + i)`, so sites off
+    /// the grid (any axis, negative `z0` included) read 0. Every word of
+    /// `out` is written; bits at or past `len` are 0. This is the SDMU's
+    /// line register load: one word-wide copy instead of a bounds-checked
+    /// read per site.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `out` holds fewer than `len.div_ceil(64)` words.
+    pub fn line_bits(&self, x: i32, y: i32, z0: i32, len: usize, out: &mut [u64]) {
+        assert!(out.len() * 64 >= len, "line register too short");
+        out.fill(0);
+        let e = self.extent;
+        if x < 0 || y < 0 || x as u32 >= e.x || y as u32 >= e.y {
+            return;
+        }
+        // Output positions whose z lies on the grid.
+        let first = (-(z0 as i64)).clamp(0, len as i64) as usize;
+        let end = (e.z as i64 - z0 as i64).clamp(first as i64, len as i64) as usize;
+        let line = self.extent.linear_unchecked(Coord3::new(x, y, 0));
+        let mut p = first;
+        while p < end {
+            let n = (64 - p % 64).min(end - p);
+            let site = line + (z0 as i64 + p as i64) as usize;
+            out[p / 64] |= self.bits_at(site, n) << (p % 64);
+            p += n;
+        }
+    }
+
+    /// The `n ≤ 64` bits at linear sites `[start, start + n)`, low bit
+    /// first; every site must lie on the grid.
+    #[inline]
+    fn bits_at(&self, start: usize, n: usize) -> u64 {
+        let (w, b) = (start / 64, start % 64);
+        let mut bits = self.words[w] >> b;
+        if b + n > 64 {
+            bits |= self.words[w + 1] << (64 - b);
+        }
+        if n < 64 {
+            bits &= (1u64 << n) - 1;
+        }
+        bits
+    }
+
     /// Writes the bit at `c`.
     ///
     /// # Errors
@@ -222,6 +268,65 @@ mod tests {
         let c = Coord3::new(4, 4, 4); // index 124, in word 1
         m.set(c, true).unwrap();
         assert_eq!(m.iter_active().collect::<Vec<_>>(), vec![c]);
+    }
+
+    /// A seeded mask with each site set with probability `p`.
+    fn random_mask(extent: Extent3, p: f64, seed: u64) -> OccupancyMask {
+        use rand::{Rng, SeedableRng};
+        let mut rng = rand_chacha::ChaCha12Rng::seed_from_u64(seed);
+        let mut m = OccupancyMask::new(extent);
+        for c in extent.iter() {
+            if rng.gen_bool(p) {
+                m.set(c, true).unwrap();
+            }
+        }
+        m
+    }
+
+    /// Checks `line_bits` against per-site `get_or_empty` reads, including
+    /// that no bit at or past `len` is set.
+    fn check_line(m: &OccupancyMask, x: i32, y: i32, z0: i32, len: usize) {
+        let mut out = vec![u64::MAX; len.div_ceil(64) + 1];
+        m.line_bits(x, y, z0, len, &mut out);
+        for i in 0..out.len() * 64 {
+            let got = (out[i / 64] >> (i % 64)) & 1 == 1;
+            let want = i < len && m.get_or_empty(Coord3::new(x, y, z0 + i as i32));
+            assert_eq!(got, want, "line ({x}, {y}) z0 {z0} len {len} bit {i}");
+        }
+    }
+
+    #[test]
+    fn line_bits_match_per_site_reads() {
+        // z = 37 makes consecutive lines start at every word offset, so
+        // windows straddle word boundaries in every alignment.
+        for (seed, p) in [(1, 0.5), (2, 0.1), (3, 0.9)] {
+            let m = random_mask(Extent3::new(5, 4, 37), p, seed);
+            for x in -1..=5 {
+                for y in -1..=4 {
+                    for (z0, len) in [(0, 37), (-3, 12), (30, 12), (-5, 50), (10, 1), (36, 9)] {
+                        check_line(&m, x, y, z0, len);
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn line_bits_full_word_and_multi_word() {
+        let m = random_mask(Extent3::new(3, 3, 150), 0.4, 4);
+        for (x, y) in [(0, 0), (1, 2), (2, 2), (3, 0), (0, -1)] {
+            // Exactly one full word, aligned and unaligned.
+            check_line(&m, x, y, 0, 64);
+            check_line(&m, x, y, 7, 64);
+            check_line(&m, x, y, -9, 64);
+            // Several words, running off both ends of the line.
+            check_line(&m, x, y, -20, 200);
+            check_line(&m, x, y, 1, 128);
+            check_line(&m, x, y, 90, 70);
+        }
+        // A window wholly past either end of the line reads empty.
+        check_line(&m, 1, 1, 150, 64);
+        check_line(&m, 1, 1, -80, 70);
     }
 
     #[test]
