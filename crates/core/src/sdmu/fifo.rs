@@ -366,7 +366,7 @@ mod tests {
     }
 
     #[test]
-    fn group_stats_and_reset() {
+    fn group_stats() {
         let mut g = FifoGroup::new(2, 4);
         g.push(0, entry(0, 0), 0);
         g.push(1, entry(1, 0), 0);
